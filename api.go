@@ -238,9 +238,6 @@ func (e *Experiment) DatasetCacheStats() (hits, misses, evictions uint64, bytes 
 // Workers reports the experiment pool's concurrency bound.
 func (e *Experiment) Workers() int { return e.exp.Pool().Workers() }
 
-// Shards reports the per-job shard-engine count (1 = serial machines).
-func (e *Experiment) Shards() int { return e.exp.Pool().Shards() }
-
 // Figure regenerates one paper figure by number ("1a", "1b", "9" … "17").
 // subset restricts the workloads (nil = all 14).
 func (e *Experiment) Figure(id string, subset []string) (*Table, error) {

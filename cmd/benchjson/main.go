@@ -53,31 +53,20 @@ type Wallclock struct {
 	OutputSHA256 string  `json:"output_sha256"`
 }
 
-// ShardStalls summarizes the shard-barrier overhead of an obs run
-// report: the summed per-job wall time shards spent waiting at window
-// barriers (jobs' timing.shard_stall_seconds). Tracked so benchcmp
-// surfaces a load-balance regression in the parallel DES path.
-type ShardStalls struct {
-	Jobs              int     `json:"jobs"`
-	TotalStallSeconds float64 `json:"total_stall_seconds"`
-}
-
 // Report is the BENCH_sim.json schema.
 type Report struct {
-	GoVersion   string       `json:"go_version"`
-	GOOS        string       `json:"goos"`
-	GOARCH      string       `json:"goarch"`
-	Date        string       `json:"date"`
-	Benchmarks  []Benchmark  `json:"benchmarks"`
-	Wallclock   *Wallclock   `json:"wallclock,omitempty"`
-	ShardStalls *ShardStalls `json:"shard_stalls,omitempty"`
+	GoVersion  string      `json:"go_version"`
+	GOOS       string      `json:"goos"`
+	GOARCH     string      `json:"goarch"`
+	Date       string      `json:"date"`
+	Benchmarks []Benchmark `json:"benchmarks"`
+	Wallclock  *Wallclock  `json:"wallclock,omitempty"`
 }
 
 func main() {
 	out := flag.String("o", "bench/BENCH_sim.json", "output file")
 	compare := flag.Bool("compare", false, "compare two reports (old.json new.json) instead of generating one")
 	threshold := flag.Float64("threshold", 1.10, "with -compare: max tolerated new/old ratio per benchmark")
-	stalls := flag.String("stalls", "", "obs run report JSON (nsexp -report) to fold shard-barrier stall totals from")
 	flag.Parse()
 
 	if *compare {
@@ -125,13 +114,6 @@ func main() {
 			}
 			rep.Wallclock = wc
 		}
-	}
-	if *stalls != "" {
-		ss, err := loadShardStalls(*stalls)
-		if err != nil {
-			fatal(err)
-		}
-		rep.ShardStalls = ss
 	}
 
 	buf, err := json.MarshalIndent(&rep, "", "  ")
@@ -264,32 +246,6 @@ func previousWallclock(path string) *Wallclock {
 	return prev.Wallclock
 }
 
-// loadShardStalls sums timing.shard_stall_seconds over the jobs of an
-// obs run report (the JSON `nsexp -report` writes). The decode is a
-// minimal structural mirror so benchjson stays free of simulator
-// dependencies.
-func loadShardStalls(path string) (*ShardStalls, error) {
-	buf, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep struct {
-		Jobs []struct {
-			Timing struct {
-				ShardStallSeconds float64 `json:"shard_stall_seconds"`
-			} `json:"timing"`
-		} `json:"jobs"`
-	}
-	if err := json.Unmarshal(buf, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	out := &ShardStalls{Jobs: len(rep.Jobs)}
-	for _, j := range rep.Jobs {
-		out.TotalStallSeconds += j.Timing.ShardStallSeconds
-	}
-	return out, nil
-}
-
 // loadReport reads one BENCH_sim.json file.
 func loadReport(path string) (*Report, error) {
 	buf, err := os.ReadFile(path)
@@ -361,16 +317,6 @@ func compareReports(oldPath, newPath string, threshold float64) bool {
 			fmt.Printf("DIGEST MISMATCH: output sha256 %s -> %s\n", ow.OutputSHA256, nw.OutputSHA256)
 			fail++
 		}
-	}
-	// Shard-barrier stalls are wall-clock-noisy like the end-to-end
-	// timing, so they inform but never gate.
-	if oldSS, newSS := oldRep.ShardStalls, newRep.ShardStalls; oldSS != nil && newSS != nil {
-		fmt.Printf("%-60s %13.3fs %13.3fs %+7.1f%%\n",
-			fmt.Sprintf("shard barrier stalls (%d jobs)", newSS.Jobs),
-			oldSS.TotalStallSeconds, newSS.TotalStallSeconds,
-			(ratio(newSS.TotalStallSeconds, oldSS.TotalStallSeconds)-1)*100)
-	} else if newSS != nil {
-		fmt.Printf("%-60s %14s %13.3fs  (new)\n", "shard barrier stalls", "-", newSS.TotalStallSeconds)
 	}
 	if fail > 0 {
 		fmt.Printf("benchjson: %d regression(s) past the %.2fx threshold\n", fail, threshold)

@@ -76,7 +76,6 @@ func main() {
 		cacheDir  = flag.String("cache-dir", "nsd-cache", "persistent result store directory (empty = memory only)")
 		cacheMax  = flag.Int64("cache-max", 0, "store size cap in bytes (0 = unlimited)")
 		jobs      = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 1, "parallel DES engines per simulated machine (results are byte-identical at any value)")
 		scale     = flag.String("scale", "ci", "default scale: ci or paper")
 		coreTy    = flag.String("core", "OOO8", "default core type: IO4, OOO4 or OOO8")
 		seed      = flag.Uint64("seed", 1, "default input seed")
@@ -97,7 +96,6 @@ func main() {
 	hcfg.CoreType = *coreTy
 	hcfg.Seed = *seed
 	hcfg.Jobs = *jobs
-	hcfg.Shards = *shards
 	if *scale == "paper" {
 		hcfg.Scale = workloads.ScalePaper
 	}

@@ -7,8 +7,6 @@
 //	nsexp -table 1               # a static table
 //	nsexp -all -quick            # everything, sharing baseline runs
 //	nsexp -all -quick -j 4       # ... across 4 simulation workers
-//	nsexp -all -quick -shards 4  # ... each machine split into 4 parallel
-//	                             # DES shard engines (same bytes out)
 //	nsexp -fig 9 -progress       # per-job progress (+rate/ETA) on stderr
 //	nsexp -fig 9 -trace t.json   # Chrome trace_event JSON (Perfetto-loadable)
 //	nsexp -fig 9 -report r.json  # machine-readable per-job run report
@@ -62,7 +60,6 @@ func run() int {
 		coreTy      = flag.String("core", "OOO8", "IO4, OOO4 or OOO8")
 		wl          = flag.String("workloads", "", "comma-separated workload subset")
 		jobs        = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		shards      = flag.Int("shards", 1, "parallel DES engines per simulated machine (output is byte-identical at any value)")
 		progress    = flag.Bool("progress", false, "report per-job progress on stderr")
 		cpuProf     = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf     = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -113,7 +110,6 @@ func run() int {
 	cfg := nearstream.DefaultConfig()
 	cfg.CoreType = *coreTy
 	cfg.Jobs = *jobs
-	cfg.Shards = *shards
 	if *scale == "paper" {
 		cfg.Scale = workloads.ScalePaper
 	}
@@ -274,7 +270,6 @@ func writeObsOutputs(c *nearstream.Collector, exp *nearstream.Experiment, start 
 			GoVersion:    runtime.Version(),
 			Date:         start.UTC().Format(time.RFC3339),
 			Workers:      exp.Workers(),
-			Shards:       exp.Shards(),
 			WallSeconds:  time.Since(start).Seconds(),
 			PeakRSSBytes: obs.PeakRSSBytes(),
 		}

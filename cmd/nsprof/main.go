@@ -10,12 +10,9 @@
 //	nsprof -top 5 r.json          # cap the breakdown at 5 rows
 //	nsprof -                      # read the report from stdin
 //
-// Two tables come out: the stall breakdown (per reason: component,
-// count, cycles, share of attributed cycles) with the canonical wait
-// histograms, and — when the report carries exec sections from a
-// multi-shard run — a per-shard imbalance table showing each shard's
-// barrier stall time and how often it was the laggard (the shard on the
-// window critical path).
+// The output is the stall breakdown (per reason: component, count,
+// cycles, share of attributed cycles) with the canonical wait
+// histograms.
 package main
 
 import (
@@ -77,7 +74,6 @@ func run() int {
 		printBreakdown(stalls, hists, cycles, *top)
 		fmt.Println()
 	}
-	printImbalance(jobs)
 	return 0
 }
 
@@ -183,37 +179,5 @@ func printBreakdown(stalls []obs.StallEntry, hists []obs.HistogramReport, simCyc
 			mean = float64(h.Sum) / float64(h.Count)
 		}
 		fmt.Printf("hist %-26s count=%d sum=%d mean=%.2f\n", h.Name, h.Count, h.Sum, mean)
-	}
-}
-
-// printImbalance renders the per-shard critical-path table for every job
-// that ran multi-shard: barrier stall seconds and laggard-window counts
-// identify the shard the others wait on.
-func printImbalance(jobs []obs.JobReport) {
-	header := false
-	for _, j := range jobs {
-		e := j.Attribution.Exec
-		if e == nil || e.Shards <= 1 {
-			continue
-		}
-		if !header {
-			fmt.Println("shard imbalance (barrier critical path):")
-			header = true
-		}
-		fmt.Printf("  %s: %d shards, %d windows\n", j.Key, e.Shards, e.Windows)
-		for i := 0; i < e.Shards; i++ {
-			var stall float64
-			if i < len(e.ShardStallSeconds) {
-				stall = e.ShardStallSeconds[i]
-			}
-			var lag uint64
-			if i < len(e.LaggardWindows) {
-				lag = e.LaggardWindows[i]
-			}
-			fmt.Printf("    shard %-3d stall_s=%-10.6f laggard_windows=%d\n", i, stall, lag)
-		}
-	}
-	if !header {
-		fmt.Println("no multi-shard exec sections (serial runs have no barrier critical path)")
 	}
 }

@@ -43,7 +43,6 @@ func run() int {
 		coreTy   = flag.String("core", "OOO8", "IO4, OOO4 or OOO8")
 		seed     = flag.Uint64("seed", 1, "input seed")
 		jobs     = flag.Int("j", 0, "max concurrent simulations (0 = GOMAXPROCS)")
-		shards   = flag.Int("shards", 1, "parallel DES engines per simulated machine (output is byte-identical at any value)")
 		progress = flag.Bool("progress", false, "report per-job progress on stderr")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write an end-of-run heap profile to this file")
@@ -128,7 +127,6 @@ func run() int {
 	defer stop()
 
 	pool := runner.NewPool(*jobs)
-	pool.SetShards(*shards)
 	var collector *nearstream.Collector
 	if *stallOut != "" {
 		collector = nearstream.NewCollector(0, 0)

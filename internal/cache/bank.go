@@ -4,7 +4,6 @@ import (
 	"repro/internal/flatmap"
 	"repro/internal/noc"
 	"repro/internal/obs"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -21,13 +20,9 @@ type txnWork func(release func())
 // pooled slice indexed through a second table, both sized from the cache
 // geometry at construction.
 type Bank struct {
-	id int
-	h  *Hierarchy
-	// engine and lane are the shard bindings: the bank schedules its
-	// latencies on its own shard's engine and counts on its own lane.
-	engine *sim.Engine
-	lane   *hierLane
-	array  *Array
+	id    int
+	h     *Hierarchy
+	array *Array
 	// txns serializes transactions per line: a present entry means the
 	// line is busy, and holds the FIFO of waiting transaction bodies.
 	txns flatmap.Map[[]txnWork]
@@ -73,7 +68,7 @@ func (b *Bank) PendingTxns() int { return b.txns.Len() }
 // release, with no re-submission round trip.
 func (b *Bank) submit(line uint64, work txnWork) {
 	if q, busy := b.txns.Get(line); busy {
-		b.lane.attrib.Charge(obs.StallBankConflict, 0)
+		b.h.attrib.Charge(obs.StallBankConflict, 0)
 		b.txns.Put(line, append(q, work))
 		return
 	}
@@ -113,13 +108,13 @@ func dirOf(l *Line) *dirInfo {
 // and writebacks). onReady reports whether DRAM was involved.
 func (b *Bank) ensurePresent(line uint64, onReady func(fromMem bool)) {
 	h := b.h
-	b.engine.Schedule(h.cfg.L3Bank.Latency, func() {
+	b.h.engine.Schedule(h.cfg.L3Bank.Latency, func() {
 		if b.array.Lookup(b.localAddr(line)) != nil {
-			b.lane.ctr.l3Hits.Inc()
+			b.h.ctr.l3Hits.Inc()
 			onReady(false)
 			return
 		}
-		b.lane.ctr.l3Misses.Inc()
+		b.h.ctr.l3Misses.Inc()
 		ctrl := h.ctrlNodeFor(line)
 		h.net.Send(&noc.Message{
 			Src: b.id, Dst: ctrl, Bytes: CtrlBytes, Class: stats.TrafficControl,
@@ -161,7 +156,7 @@ func (b *Bank) install(line uint64) {
 			}
 		}
 		if len(dsts) > 0 {
-			b.lane.ctr.l3Recalls.Inc()
+			b.h.ctr.l3Recalls.Inc()
 			h.net.Multicast(b.id, dsts, CtrlBytes, stats.TrafficControl, func(dst int) {
 				if h.tiles[dst].InvalidateLine(vline) {
 					// Dirty private copy: flows to DRAM.
@@ -172,7 +167,7 @@ func (b *Bank) install(line uint64) {
 		}
 	}
 	if dirty {
-		b.lane.ctr.l3Writebacks.Inc()
+		b.h.ctr.l3Writebacks.Inc()
 		ctrl := h.ctrlNodeFor(vline)
 		h.net.Send(&noc.Message{Src: b.id, Dst: ctrl, Bytes: LineBytes, Class: stats.TrafficData,
 			OnDeliver: func() { h.dram.Access(vline, h.cfg.LineBytes, true, nil) }})
@@ -221,7 +216,7 @@ func (b *Bank) serveGetS(line uint64, l *Line, d *dirInfo, requester int, fromMe
 	if d.owner >= 0 && d.owner != requester {
 		owner := d.owner
 		// Downgrade the owner to S; dirty data returns to the bank.
-		b.lane.ctr.l3Downgrades.Inc()
+		b.h.ctr.l3Downgrades.Inc()
 		h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: stats.TrafficControl,
 			OnDeliver: func() {
 				wasDirty := h.tiles[owner].downgradeLine(line)
@@ -284,7 +279,7 @@ func (b *Bank) invalidateOthers(line uint64, d *dirInfo, requester int, done fun
 		done()
 		return
 	}
-	b.lane.ctr.l3Invalidations.Add(uint64(len(dsts)))
+	b.h.ctr.l3Invalidations.Add(uint64(len(dsts)))
 	remaining := len(dsts)
 	h.net.Multicast(b.id, dsts, CtrlBytes, stats.TrafficControl, func(dst int) {
 		wasDirty := h.tiles[dst].InvalidateLine(line)
@@ -311,7 +306,7 @@ func (b *Bank) invalidateOthers(line uint64, d *dirInfo, requester int, done fun
 func (b *Bank) handleWriteback(line uint64, from int) {
 	b.submit(line, func(release func()) {
 		h := b.h
-		b.engine.Schedule(h.cfg.L3Bank.Latency, func() {
+		b.h.engine.Schedule(h.cfg.L3Bank.Latency, func() {
 			if l := b.array.Peek(b.localAddr(line)); l != nil {
 				l.Dirty = true
 				d := dirOf(l)
@@ -345,7 +340,7 @@ func (b *Bank) StreamRead(line uint64, onDone func(fromMem bool)) {
 			if d.owner >= 0 {
 				owner := d.owner
 				h := b.h
-				b.lane.ctr.l3Downgrades.Inc()
+				b.h.ctr.l3Downgrades.Inc()
 				h.net.Send(&noc.Message{Src: b.id, Dst: owner, Bytes: CtrlBytes, Class: stats.TrafficControl,
 					OnDeliver: func() {
 						wasDirty := h.tiles[owner].downgradeLine(line)

@@ -85,41 +85,6 @@ type hierCounters struct {
 	lockAcquires, lockConflicts   obs.Counter
 }
 
-// hierLane is one shard's single-writer slice of the hierarchy's
-// observability state: its own counter registry (Stats sums all lanes, so
-// totals are shard-count-invariant) and its own tracer pointer, so
-// components on different shard engines never share a mutable ring.
-type hierLane struct {
-	reg    *obs.Registry
-	ctr    hierCounters
-	tracer *obs.Tracer
-	// attrib is the lane's cycle-attribution target (nil = off); like the
-	// tracer it is single-writer per shard and merged after the run.
-	attrib *obs.Attribution
-}
-
-func newHierLane() *hierLane {
-	l := &hierLane{reg: obs.NewRegistry()}
-	l.ctr = hierCounters{
-		l1Hits:          l.reg.Counter("l1.hits"),
-		l1Misses:        l.reg.Counter("l1.misses"),
-		l2Hits:          l.reg.Counter("l2.hits"),
-		l2Misses:        l.reg.Counter("l2.misses"),
-		l2Upgrades:      l.reg.Counter("l2.upgrades"),
-		l2Writebacks:    l.reg.Counter("l2.writebacks"),
-		l3Hits:          l.reg.Counter("l3.hits"),
-		l3Misses:        l.reg.Counter("l3.misses"),
-		l3Recalls:       l.reg.Counter("l3.recalls"),
-		l3Writebacks:    l.reg.Counter("l3.writebacks"),
-		l3Downgrades:    l.reg.Counter("l3.downgrades"),
-		l3Invalidations: l.reg.Counter("l3.invalidations"),
-		prefetchIssued:  l.reg.Counter("prefetch.issued"),
-		lockAcquires:    l.reg.Counter("lock.acquires"),
-		lockConflicts:   l.reg.Counter("lock.conflicts"),
-	}
-	return l
-}
-
 // Hierarchy ties together all tiles' private caches, the L3 banks, the NoC
 // and DRAM.
 type Hierarchy struct {
@@ -131,9 +96,12 @@ type Hierarchy struct {
 	ctrlNodes []int
 	tiles     []*Tile
 	banks     []*Bank
-	// lanes holds per-shard counters and tracers; serial hierarchies have
-	// one lane shared by every component.
-	lanes []*hierLane
+	// reg/ctr hold the interned counters; tracer and attrib (usually nil)
+	// are the observability hooks every tile and bank reports to.
+	reg    *obs.Registry
+	ctr    hierCounters
+	tracer *obs.Tracer
+	attrib *obs.Attribution
 	// PrefetchHook, when non-nil, observes every demand L1 access
 	// (tile, addr, pc, hit) — the Bingo/stride prefetchers attach here.
 	PrefetchHook func(tile int, addr uint64, pc uint64, hit bool)
@@ -148,16 +116,33 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 		net:       net,
 		dram:      dram,
 		ctrlNodes: mem.CornerNodes(net.Config().Width, net.Config().Height, dram.Config().Controllers),
-		lanes:     []*hierLane{newHierLane()},
+		reg:       obs.NewRegistry(),
+	}
+	h.ctr = hierCounters{
+		l1Hits:          h.reg.Counter("l1.hits"),
+		l1Misses:        h.reg.Counter("l1.misses"),
+		l2Hits:          h.reg.Counter("l2.hits"),
+		l2Misses:        h.reg.Counter("l2.misses"),
+		l2Upgrades:      h.reg.Counter("l2.upgrades"),
+		l2Writebacks:    h.reg.Counter("l2.writebacks"),
+		l3Hits:          h.reg.Counter("l3.hits"),
+		l3Misses:        h.reg.Counter("l3.misses"),
+		l3Recalls:       h.reg.Counter("l3.recalls"),
+		l3Writebacks:    h.reg.Counter("l3.writebacks"),
+		l3Downgrades:    h.reg.Counter("l3.downgrades"),
+		l3Invalidations: h.reg.Counter("l3.invalidations"),
+		prefetchIssued:  h.reg.Counter("prefetch.issued"),
+		lockAcquires:    h.reg.Counter("lock.acquires"),
+		lockConflicts:   h.reg.Counter("lock.conflicts"),
 	}
 	for i := 0; i < n; i++ {
 		h.tiles = append(h.tiles, &Tile{
-			id: i, h: h, engine: engine, lane: h.lanes[0],
+			id: i, h: h,
 			l1: NewArray(cfg.L1, uint64(i)*2+1),
 			l2: NewArray(cfg.L2, uint64(i)*2+2),
 		})
 		b := &Bank{
-			id: i, h: h, engine: engine, lane: h.lanes[0],
+			id: i, h: h,
 			array: NewArray(cfg.L3Bank, uint64(i)*2+3),
 		}
 		// Size the per-line tables from the geometry: concurrent
@@ -173,31 +158,9 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 // Config returns the hierarchy configuration.
 func (h *Hierarchy) Config() Config { return h.cfg }
 
-// AttachShards repartitions the hierarchy over a shard group: the tile and
-// L3 bank at mesh node i schedule on (and count against) the engine and
-// lane of shard shardOf[i]. Call it on a freshly built hierarchy, before
-// any traffic — counters already accumulated stay on the old lane and
-// vanish from Stats.
-func (h *Hierarchy) AttachShards(g *sim.ShardGroup, shardOf []int32) {
-	if len(shardOf) != len(h.tiles) {
-		panic(fmt.Sprintf("cache: shard map covers %d nodes, hierarchy has %d", len(shardOf), len(h.tiles)))
-	}
-	h.lanes = make([]*hierLane, g.Shards())
-	for i := range h.lanes {
-		h.lanes[i] = newHierLane()
-	}
-	h.engine = g.Engine(0)
-	for i, t := range h.tiles {
-		t.engine = g.Engine(int(shardOf[i]))
-		t.lane = h.lanes[shardOf[i]]
-		h.banks[i].engine = t.engine
-		h.banks[i].lane = t.lane
-	}
-}
-
-// Reset returns every tile, bank and counter lane to its just-built
-// state: cold arrays with replaying replacement rngs, empty MSHR/txn/lock
-// tables, zeroed counters, detached tracers. Shard bindings survive.
+// Reset returns every tile and bank to its just-built state: cold arrays
+// with replaying replacement rngs, empty MSHR/txn/lock tables, zeroed
+// counters, detached tracer and attribution.
 // After a completed run the MSHR and transaction tables are empty anyway;
 // clearing them is defensive against an aborted run leaking work into
 // the next job.
@@ -215,47 +178,26 @@ func (h *Hierarchy) Reset() {
 		b.lockPool = b.lockPool[:0]
 		b.lockFree = b.lockFree[:0]
 	}
-	for _, l := range h.lanes {
-		l.reg.Reset()
-		l.tracer = nil
-		l.attrib = nil
-	}
+	h.reg.Reset()
+	h.tracer = nil
+	h.attrib = nil
 	h.PrefetchHook = nil
 }
 
 // Stats snapshots the hierarchy's counters as a stats set (the export and
 // test surface; hot-path counting happens on interned registry slots).
-// With multiple shard lanes the per-lane counts sum, so totals are
-// independent of the shard count.
 func (h *Hierarchy) Stats() *stats.Set {
 	s := stats.NewSet()
-	for _, l := range h.lanes {
-		l.reg.ExportTo(s.Add)
-	}
+	h.reg.ExportTo(s.Add)
 	return s
 }
 
-// SetTracer attaches (or detaches, with nil) an event tracer to every
-// lane. With more than one shard lane this shares one ring across shard
-// goroutines — racy; parallel machines must give each lane its own tracer
-// via SetLaneTracer and merge afterwards.
-func (h *Hierarchy) SetTracer(tr *obs.Tracer) {
-	for _, l := range h.lanes {
-		l.tracer = tr
-	}
-}
+// SetTracer attaches (or detaches, with nil) an event tracer.
+func (h *Hierarchy) SetTracer(tr *obs.Tracer) { h.tracer = tr }
 
-// Lanes reports the number of shard lanes (1 unless AttachShards ran).
-func (h *Hierarchy) Lanes() int { return len(h.lanes) }
-
-// SetLaneTracer attaches a tracer to one shard lane.
-func (h *Hierarchy) SetLaneTracer(i int, tr *obs.Tracer) { h.lanes[i].tracer = tr }
-
-// SetLaneAttrib attaches a cycle-attribution lane to one shard lane (nil
-// detaches). Parallel machines give each shard its own and merge after
-// the run; every charge site fires at a deterministic protocol event, so
-// the merged totals are shard-count-invariant.
-func (h *Hierarchy) SetLaneAttrib(i int, a *obs.Attribution) { h.lanes[i].attrib = a }
+// SetAttribution attaches (or detaches, with nil) a cycle-attribution
+// lane: MSHR merges, line-lock conflicts and bank conflicts charge it.
+func (h *Hierarchy) SetAttribution(a *obs.Attribution) { h.attrib = a }
 
 // Tiles returns the number of tiles.
 func (h *Hierarchy) Tiles() int { return len(h.tiles) }
@@ -281,13 +223,9 @@ func (h *Hierarchy) ctrlNodeFor(addr uint64) int {
 }
 
 // Tile is the private L1+L2 of one core, plus its MSHR merge table.
-// engine and lane are the shard bindings: every event the tile schedules
-// and every counter it bumps stays on its own shard.
 type Tile struct {
 	id     int
 	h      *Hierarchy
-	engine *sim.Engine
-	lane   *hierLane
 	l1, l2 *Array
 	// inflight merges concurrent misses to the same line: a present entry
 	// is an outstanding request, holding the completions waiting on it.
@@ -318,7 +256,7 @@ func (t *Tile) Access(addr uint64, write bool, pc uint64, onDone func(Level)) {
 	if h.PrefetchHook != nil {
 		h.PrefetchHook(t.id, addr, pc, hitL1)
 	}
-	t.engine.Schedule(h.cfg.L1.Latency, func() {
+	t.h.engine.Schedule(h.cfg.L1.Latency, func() {
 		t.afterL1(line, write, onDone)
 	})
 }
@@ -327,18 +265,18 @@ func (t *Tile) afterL1(line uint64, write bool, onDone func(Level)) {
 	h := t.h
 	if l := t.l1.Lookup(line); l != nil {
 		if !write {
-			t.lane.ctr.l1Hits.Inc()
+			t.h.ctr.l1Hits.Inc()
 			finish(onDone, ServedL1)
 			return
 		}
 		switch l.State {
 		case Modified:
-			t.lane.ctr.l1Hits.Inc()
+			t.h.ctr.l1Hits.Inc()
 			l.Dirty = true
 			finish(onDone, ServedL1)
 			return
 		case Exclusive:
-			t.lane.ctr.l1Hits.Inc()
+			t.h.ctr.l1Hits.Inc()
 			l.State = Modified
 			l.Dirty = true
 			if l2 := t.l2.Peek(line); l2 != nil {
@@ -351,8 +289,8 @@ func (t *Tile) afterL1(line uint64, write bool, onDone func(Level)) {
 			// issues GetM/Upg.
 		}
 	}
-	t.lane.ctr.l1Misses.Inc()
-	t.engine.Schedule(h.cfg.L2.Latency, func() {
+	t.h.ctr.l1Misses.Inc()
+	t.h.engine.Schedule(h.cfg.L2.Latency, func() {
 		t.afterL2(line, write, onDone)
 	})
 }
@@ -360,13 +298,13 @@ func (t *Tile) afterL1(line uint64, write bool, onDone func(Level)) {
 func (t *Tile) afterL2(line uint64, write bool, onDone func(Level)) {
 	if l := t.l2.Lookup(line); l != nil {
 		if !write {
-			t.lane.ctr.l2Hits.Inc()
+			t.h.ctr.l2Hits.Inc()
 			t.fillL1(line, l.State)
 			finish(onDone, ServedL2)
 			return
 		}
 		if l.State == Exclusive || l.State == Modified {
-			t.lane.ctr.l2Hits.Inc()
+			t.h.ctr.l2Hits.Inc()
 			l.State = Modified
 			l.Dirty = true
 			t.fillL1(line, Modified)
@@ -377,11 +315,11 @@ func (t *Tile) afterL2(line uint64, write bool, onDone func(Level)) {
 			return
 		}
 		// Shared: upgrade required. Control-only round trip.
-		t.lane.ctr.l2Upgrades.Inc()
+		t.h.ctr.l2Upgrades.Inc()
 		t.requestLine(line, reqUpgrade, onDone)
 		return
 	}
-	t.lane.ctr.l2Misses.Inc()
+	t.h.ctr.l2Misses.Inc()
 	if write {
 		t.requestLine(line, reqGetM, onDone)
 	} else {
@@ -413,7 +351,7 @@ func (t *Tile) fillL2(line uint64, state LineState) {
 			victim.Dirty = true
 		}
 		if victim.Dirty {
-			t.lane.ctr.l2Writebacks.Inc()
+			t.h.ctr.l2Writebacks.Inc()
 			t.h.sendWriteback(t.id, vaddr)
 		}
 	}
@@ -436,7 +374,7 @@ func (t *Tile) requestLine(line uint64, kind reqKind, onDone func(Level)) {
 	// merged read completion does not grant write permission). To stay
 	// simple and conservative, merge everything and re-check permission.
 	if q, ok := t.inflight.Get(line); ok {
-		t.lane.attrib.Charge(obs.StallMSHRMerge, 0)
+		t.h.attrib.Charge(obs.StallMSHRMerge, 0)
 		t.inflight.Put(line, append(q, func(lv Level) {
 			// Re-run the access: permissions may still be insufficient
 			// (e.g. read brought S, this needs M).
@@ -445,8 +383,8 @@ func (t *Tile) requestLine(line uint64, kind reqKind, onDone func(Level)) {
 		return
 	}
 	t.inflight.Put(line, nil)
-	if tr := t.lane.tracer; tr.Enabled() {
-		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
+	if tr := t.h.tracer; tr.Enabled() {
+		tr.Emit(obs.Event{Time: uint64(t.h.engine.Now()), Kind: obs.KindMSHR,
 			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
 	}
 	bank := h.banks[h.HomeBank(line)]
@@ -507,8 +445,8 @@ func (t *Tile) completeFill(line uint64, kind reqKind, grant LineState, fromMem 
 	finish(onDone, lv)
 	waiters, _ := t.inflight.Get(line)
 	t.inflight.Delete(line)
-	if tr := t.lane.tracer; tr.Enabled() {
-		tr.Emit(obs.Event{Time: uint64(t.engine.Now()), Kind: obs.KindMSHR,
+	if tr := t.h.tracer; tr.Enabled() {
+		tr.Emit(obs.Event{Time: uint64(t.h.engine.Now()), Kind: obs.KindMSHR,
 			Tile: int32(t.id), A: uint64(t.inflight.Len()), B: line})
 	}
 	for _, w := range waiters {
@@ -527,7 +465,7 @@ func (t *Tile) Prefetch(addr uint64) {
 	if t.inflight.Contains(line) {
 		return
 	}
-	t.lane.ctr.prefetchIssued.Inc()
+	t.h.ctr.prefetchIssued.Inc()
 	t.requestLine(line, reqGetS, nil)
 }
 

@@ -86,8 +86,7 @@ type runShared struct {
 	scms    []*SCM
 	sePages []map[uint64]bool // per-bank SE_L3 translation cache
 	ctr     runCounters
-	// attrib receives the SE_L3 stall charges (nil = off). Stream systems
-	// run single-shard (Run clamps below), so the one lane is race-free.
+	// attrib receives the SE_L3 stall charges (nil = off).
 	attrib *obs.Attribution
 }
 
@@ -141,9 +140,6 @@ type coreRun struct {
 func (cr *coreRun) net() *noc.Network { return cr.m.Net }
 func (cr *coreRun) tile() *cache.Tile { return cr.m.Hier.Tile(cr.coreID) }
 
-// engine returns the engine of the shard owning this core's tile — the
-// only engine the core may schedule on in a partitioned machine.
-func (cr *coreRun) engine() *sim.Engine { return cr.m.EngineOf(cr.coreID) }
 func (cr *coreRun) scmAt(bank int) *SCM {
 	return cr.shared.scms[bank]
 }
@@ -241,13 +237,6 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	if pol.prefetchers != m.Cfg.EnablePrefetchers {
 		return nil, fmt.Errorf("core: system %v needs prefetchers=%v in the machine config", sys, pol.prefetchers)
 	}
-	// Stream runtimes couple banks and cores directly (shared SCM queues,
-	// cross-stream value deps), which the row-band partition cannot cut;
-	// runner.MachineConfig therefore builds them single-shard. Catch direct
-	// callers that skipped the clamp before nondeterminism can.
-	if m.Shards() > 1 && sys != Base {
-		return nil, fmt.Errorf("core: system %v requires a single-shard machine (got %d shards)", sys, m.Shards())
-	}
 	var plan *compiler.Plan
 	if pol.useStreams {
 		var err error
@@ -267,9 +256,9 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 	parts := Partition(total, cores)
 
 	shared := &runShared{m: m, scms: make([]*SCM, m.Tiles()), sePages: make([]map[uint64]bool, m.Tiles()), ctr: newRunCounters(m.Obs)}
-	shared.attrib = m.AttributionLane(0)
+	shared.attrib = m.AttributionLane()
 	for i := range shared.scms {
-		shared.scms[i] = NewSCM(m.EngineOf(i), params)
+		shared.scms[i] = NewSCM(m.Engine, params)
 		shared.sePages[i] = map[uint64]bool{}
 	}
 
@@ -298,8 +287,8 @@ func Run(m *machine.Machine, k *ir.Kernel, sys System, params Params, kparams ma
 		cr.consumeCount = make([]int, nsid)
 		cr.decideModes()
 		cr.buildStreams()
-		cr.core = cpu.NewCore(m.EngineOf(c), m.Cfg.CoreType, (*coreSource)(cr), cr.memFunc)
-		cr.core.SetAttribution(m.AttributionLane(int(m.ShardOf[c])))
+		cr.core = cpu.NewCore(m.Engine, m.Cfg.CoreType, (*coreSource)(cr), cr.memFunc)
+		cr.core.SetAttribution(m.AttributionLane())
 		runs = append(runs, cr)
 		for cat, n := range tr.DynOps {
 			res.DynOps[cat] += n
@@ -779,10 +768,10 @@ func (cr *coreRun) streamFinished() {
 func (cr *coreRun) memFunc(seq uint64, ref cpu.MemRef, at sim.Time, done func()) {
 	if act, ok := cr.actions.Get(seq); ok {
 		cr.actions.Delete(seq)
-		cr.engine().ScheduleAt(at, func() { act(done) })
+		cr.m.Engine.ScheduleAt(at, func() { act(done) })
 		return
 	}
-	cr.engine().ScheduleAt(at, func() {
+	cr.m.Engine.ScheduleAt(at, func() {
 		// §IV-B alias check: committed core accesses compare against
 		// offloaded streams' reported ranges. On a hit (possibly a false
 		// positive — the check is conservative) the stream drains to a

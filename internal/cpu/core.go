@@ -206,9 +206,7 @@ func (c *Core) FinishTime() sim.Time { return c.lastRetire }
 // SetOnIdle registers a callback fired once when the stream completes.
 func (c *Core) SetOnIdle(fn func()) { c.onIdle = fn }
 
-// SetAttribution attaches a cycle-attribution lane (nil detaches). On a
-// sharded machine the lane must be the one owned by the shard the core's
-// engine belongs to.
+// SetAttribution attaches a cycle-attribution lane (nil detaches).
 func (c *Core) SetAttribution(a *obs.Attribution) { c.attrib = a }
 
 // completionOf returns the completion time of dependency seq, or ok=false

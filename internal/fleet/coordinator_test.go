@@ -261,6 +261,64 @@ func TestWrapRoutes(t *testing.T) {
 	}
 }
 
+// TestRequestBodiesAreBounded drives every route that reads a request
+// body through a coordinator-mode daemon (the fleet routes wrapped around
+// the job/figure API, as nsd serves them): a body past
+// serve.MaxRequestBody is answered 413 even when it is otherwise valid
+// JSON, and a normal body is still accepted. The daemon's remote executor
+// fails every job at once, so accepted tasks never simulate.
+func TestRequestBodiesAreBounded(t *testing.T) {
+	s, err := serve.New(serve.Config{Harness: harness.DefaultConfig()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.SetRemote(func(context.Context, runner.Job) (*runner.Result, error) {
+		return nil, fmt.Errorf("no workers")
+	})
+	c := New(Options{Retry: fastRetry})
+	ts := httptest.NewServer(c.Wrap(s.Handler()))
+	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		defer cancel()
+		s.Shutdown(ctx)
+	})
+
+	pad := strings.Repeat("x", serve.MaxRequestBody)
+	for _, tc := range []struct {
+		route, normal, oversize string
+		ok                      int
+	}{
+		{"/api/v1/jobs",
+			`{"workload": "histogram", "system": "NS"}`,
+			`{"workload": "histogram", "system": "NS", "pad": "` + pad + `"}`,
+			http.StatusAccepted},
+		{"/api/v1/figures/16?workloads=bfs_push",
+			`{}`,
+			`{"pad": "` + pad + `"}`,
+			http.StatusAccepted},
+		{"/api/v1/fleet/register",
+			`{"url": "http://worker-7:8081"}`,
+			`{"url": "http://worker-7:8081", "pad": "` + pad + `"}`,
+			http.StatusOK},
+	} {
+		for _, body := range []struct {
+			text string
+			want int
+		}{{tc.oversize, http.StatusRequestEntityTooLarge}, {tc.normal, tc.ok}} {
+			resp, err := http.Post(ts.URL+tc.route, "application/json", strings.NewReader(body.text))
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != body.want {
+				t.Errorf("POST %s with a %d-byte body: status %d, want %d",
+					tc.route, len(body.text), resp.StatusCode, body.want)
+			}
+		}
+	}
+}
+
 // TestRegisterGivesUpOnCtx: registration against nothing honors ctx.
 func TestRegisterGivesUpOnCtx(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)

@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/obs"
+	"repro/internal/serve"
 )
 
 // WorkerInfo is one worker's row in the fleet topology.
@@ -108,8 +109,11 @@ func (c *Coordinator) Wrap(next http.Handler) http.Handler {
 	mux.Handle("/", next)
 	mux.HandleFunc("POST /api/v1/fleet/register", func(w http.ResponseWriter, r *http.Request) {
 		var req registerRequest
-		if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-			httpError(w, http.StatusBadRequest, "body must be {\"url\": \"http://worker:port\"}")
+		if code, err := serve.DecodeBody(w, r, &req); err != nil || req.URL == "" {
+			if code == 0 {
+				code = http.StatusBadRequest
+			}
+			httpError(w, code, "body must be {\"url\": \"http://worker:port\"}")
 			return
 		}
 		if u, err := url.Parse(req.URL); err != nil || u.Scheme == "" || u.Host == "" {

@@ -92,94 +92,41 @@ func TestMemoCacheSharesJobsAcrossFigures(t *testing.T) {
 	}
 }
 
-// TestFigureBytesInvariantAcrossShardGrid is the parallel-DES analogue of
-// the worker-count guarantee above: figure bytes must be identical over
-// the whole {-shards 1, 2, 4} × {-j 1, 8} grid, because sharding only
-// changes which goroutine fires an event, never the event sequence. The
-// reference cell is (-shards 1, -j 1) — today's serial path — and every
-// other cell must reproduce it exactly. Fig 9 runs the Base system, the
-// only one that shards (stream systems clamp to one shard), over a
-// taxonomy-spanning pair; Fig 15's range sweep re-runs Base under
-// parameter overrides.
-func TestFigureBytesInvariantAcrossShardGrid(t *testing.T) {
-	render := func(shards, jobs int) map[string]string {
-		cfg := DefaultConfig()
-		cfg.Shards = shards
-		cfg.Jobs = jobs
-		e := NewExp(cfg)
-		if got := e.Pool().Shards(); got != shards {
-			t.Fatalf("pool shards %d, want %d", got, shards)
-		}
-		out := make(map[string]string)
-		for _, fc := range []struct {
-			id     string
-			subset []string
-			render func(*Exp, []string) (*Table, error)
-		}{
-			{"9", []string{"pathfinder", "hash_join"}, (*Exp).Fig9},
-			{"15", []string{"pathfinder"}, (*Exp).Fig15},
-		} {
-			tab, err := fc.render(e, fc.subset)
-			if err != nil {
-				t.Fatalf("fig %s shards=%d j=%d: %v", fc.id, shards, jobs, err)
-			}
-			out[fc.id] = tab.String()
-		}
-		return out
-	}
-	want := render(1, 1)
-	for _, shards := range []int{2, 4} {
-		for _, jobs := range []int{1, 8} {
-			got := render(shards, jobs)
-			for id, tab := range want {
-				if got[id] != tab {
-					t.Errorf("fig %s differs at shards=%d j=%d vs serial:\n--- serial ---\n%s--- shards=%d j=%d ---\n%s",
-						id, shards, jobs, tab, shards, jobs, got[id])
-				}
-			}
-		}
-	}
-}
-
-// TestAttributionReportInvariantAcrossShardGrid extends the grid
+// TestAttributionReportInvariantAcrossWorkers extends the worker-count
 // guarantee to the cycle-attribution profiler: the canonical run report
 // (Timing and Exec stripped, stalls/histograms kept) must be
-// byte-identical over {-shards 1, 2, 4} × {-j 1, 8}, because every
-// charge site fires at a deterministic simulation event. Fig 9 over a
-// taxonomy-spanning pair covers Base (the sharding system) plus every
-// stream system's SE/cache/NoC/DRAM charges.
-func TestAttributionReportInvariantAcrossShardGrid(t *testing.T) {
-	render := func(shards, jobs int) string {
+// byte-identical at -j 1 and -j 8, because every charge site fires at a
+// deterministic simulation event and each job charges its own machine's
+// lane. At -j 8 jobs also draw pooled machines in a scheduling-dependent
+// order, so a lane or sink that leaked across jobs would show here. Fig 9
+// over a taxonomy-spanning pair covers Base plus every stream system's
+// SE/cache/NoC/DRAM charges.
+func TestAttributionReportInvariantAcrossWorkers(t *testing.T) {
+	render := func(jobs int) string {
 		cfg := DefaultConfig()
-		cfg.Shards = shards
 		cfg.Jobs = jobs
 		e := NewExp(cfg)
 		c := obs.NewCollector(0, 0)
 		c.Attribution = true
 		e.Pool().Obs = c
 		if _, err := e.Fig9([]string{"pathfinder", "hash_join"}); err != nil {
-			t.Fatalf("fig 9 shards=%d j=%d: %v", shards, jobs, err)
+			t.Fatalf("fig 9 j=%d: %v", jobs, err)
 		}
 		var buf bytes.Buffer
 		if err := c.Report().Canonical().WriteJSON(&buf); err != nil {
-			t.Fatalf("report shards=%d j=%d: %v", shards, jobs, err)
+			t.Fatalf("report j=%d: %v", jobs, err)
 		}
 		return buf.String()
 	}
-	want := render(1, 1)
+	want := render(1)
 	if !strings.Contains(want, `"attribution"`) {
 		t.Fatalf("serial report carries no attribution section:\n%s", want)
 	}
 	if strings.Contains(want, `"exec"`) {
 		t.Fatalf("canonical report kept the execution-dependent exec section:\n%s", want)
 	}
-	for _, shards := range []int{2, 4} {
-		for _, jobs := range []int{1, 8} {
-			if got := render(shards, jobs); got != want {
-				t.Errorf("canonical attribution report differs at shards=%d j=%d vs serial:\n--- serial ---\n%s--- shards=%d j=%d ---\n%s",
-					shards, jobs, want, shards, jobs, got)
-			}
-		}
+	if got := render(8); got != want {
+		t.Errorf("canonical attribution report differs at j=8 vs j=1:\n--- j=1 ---\n%s--- j=8 ---\n%s", want, got)
 	}
 }
 
@@ -197,12 +144,10 @@ var goldenSubset = []string{"pathfinder", "histogram", "pr_pull", "hash_join"}
 // data-structure rewrites, which must keep every figure byte-identical.
 //
 // The digests were last regenerated when the NoC moved to barrier-deferred
-// routing for parallel DES: same-cycle sends are now routed in canonical
-// (send time, src node, per-src sequence) order instead of the old serial
-// engine's global insertion order. The canonical order is a function of
-// the model alone, so from that baseline forward the digests additionally
-// pin shard-count invariance (TestFigureBytesInvariantAcrossShardGrid
-// checks the grid directly).
+// routing: same-cycle sends are routed at the window barrier in canonical
+// (send time, src node, per-src sequence) order instead of the engine's
+// global insertion order (noc's TestSameCycleSendsRouteInCanonicalOrder
+// pins that tie-break directly).
 const goldenPath = "figure_digests.json"
 
 // TestFigureDigestsMatchGolden renders every figure at CI scale over the

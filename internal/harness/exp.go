@@ -26,12 +26,9 @@ type Exp struct {
 }
 
 // NewExp builds an experiment context for a configuration; the worker
-// count comes from cfg.Jobs (0 = GOMAXPROCS) and the per-job shard count
-// from cfg.Shards (<= 1 = serial machines).
+// count comes from cfg.Jobs (0 = GOMAXPROCS).
 func NewExp(cfg Config) *Exp {
-	pool := runner.NewPool(cfg.Jobs)
-	pool.SetShards(cfg.Shards)
-	return &Exp{cfg: cfg, pool: pool}
+	return &Exp{cfg: cfg, pool: runner.NewPool(cfg.Jobs)}
 }
 
 // WithContext returns a view of the experiment whose job batches are

@@ -29,10 +29,6 @@ type Config struct {
 	// byte-identical at any value: each simulation is a self-contained
 	// deterministic machine and rows are assembled in declaration order.
 	Jobs int
-	// Shards partitions each simulated machine into that many parallel DES
-	// engines (the -shards flag; <= 1 means serial). Another execution
-	// knob: figure output is byte-identical at any value.
-	Shards int
 }
 
 // DefaultConfig returns the CI-scale OOO8 configuration.

@@ -11,15 +11,14 @@ import (
 // machine pooling, arena-backed workload data and dataset memoization are
 // execution knobs, so every figure must render byte-identically with
 // reuse on (the default) and off (fresh machine, GC-backed arrays,
-// regenerated dataset for every job), across the {-shards 1, 2} ×
-// {-j 1, 8} grid. The reference cell is reuse-off at (-shards 1, -j 1) —
-// the pre-pooling fresh-build path. At -j 8 which job draws a pooled
-// machine (vs building fresh on a pool miss) is scheduling-dependent, so
-// this also checks that checkout order never leaks into results.
+// regenerated dataset for every job), at -j 1 and -j 8. The reference
+// cell is reuse-off at -j 1 — the pre-pooling fresh-build path. At -j 8
+// which job draws a pooled machine (vs building fresh on a pool miss) is
+// scheduling-dependent, so this also checks that checkout order never
+// leaks into results.
 func TestFigureBytesInvariantUnderReuse(t *testing.T) {
-	render := func(shards, jobs int, reuse bool) map[string]string {
+	render := func(jobs int, reuse bool) map[string]string {
 		cfg := DefaultConfig()
-		cfg.Shards = shards
 		cfg.Jobs = jobs
 		e := NewExp(cfg)
 		e.Pool().SetReuse(reuse)
@@ -34,7 +33,7 @@ func TestFigureBytesInvariantUnderReuse(t *testing.T) {
 		} {
 			tab, err := fc.render(e, fc.subset)
 			if err != nil {
-				t.Fatalf("fig %s shards=%d j=%d reuse=%v: %v", fc.id, shards, jobs, reuse, err)
+				t.Fatalf("fig %s j=%d reuse=%v: %v", fc.id, jobs, reuse, err)
 			}
 			out[fc.id] = tab.String()
 		}
@@ -46,21 +45,19 @@ func TestFigureBytesInvariantUnderReuse(t *testing.T) {
 			hits, _ := e.Pool().MachineReuse()
 			dh, _, _, _ := e.Pool().DatasetCacheStats()
 			if hits == 0 || dh == 0 {
-				t.Fatalf("shards=%d j=%d: machine hits=%d dataset hits=%d, want both > 0",
-					shards, jobs, hits, dh)
+				t.Fatalf("j=%d: machine hits=%d dataset hits=%d, want both > 0",
+					jobs, hits, dh)
 			}
 		}
 		return out
 	}
-	want := render(1, 1, false)
-	for _, shards := range []int{1, 2} {
-		for _, jobs := range []int{1, 8} {
-			got := render(shards, jobs, true)
-			for id, tab := range want {
-				if got[id] != tab {
-					t.Errorf("fig %s differs with reuse at shards=%d j=%d vs fresh-build serial:\n--- fresh ---\n%s--- reuse ---\n%s",
-						id, shards, jobs, tab, got[id])
-				}
+	want := render(1, false)
+	for _, jobs := range []int{1, 8} {
+		got := render(jobs, true)
+		for id, tab := range want {
+			if got[id] != tab {
+				t.Errorf("fig %s differs with reuse at j=%d vs fresh-build serial:\n--- fresh ---\n%s--- reuse ---\n%s",
+					id, jobs, tab, got[id])
 			}
 		}
 	}

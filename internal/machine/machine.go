@@ -41,13 +41,6 @@ type Config struct {
 	EnablePrefetchers bool
 	// Seed feeds every deterministic RNG.
 	Seed uint64
-	// Shards partitions the mesh into that many row bands, each simulated
-	// by its own engine in barrier-synchronized windows (conservative
-	// parallel DES; lookahead from the NoC's minimum cross-node latency).
-	// 0 or 1 runs serially — through the same windowed code path, not a
-	// fork. Shards is an execution knob: results are bit-identical at any
-	// value. Clamped to MeshHeight.
-	Shards int
 }
 
 // Default returns the paper's 8×8 OOO8 machine.
@@ -79,20 +72,16 @@ func CI() Config {
 // stalled, cache banks and the NoC schedule work only when traffic is
 // in flight, and DRAM is pure state between bursts. Idle tiles
 // therefore cost nothing — the engine's time wheel pops only cycles
-// that actually hold events.
+// that actually hold events. The NoC registers its window barrier on the
+// engine (see noc.Network.flush), so the machine runs in Lookahead-cycle
+// windows with cross-node messages routed at each window's end.
 type Machine struct {
-	Cfg Config
-	// Group coordinates the per-shard engines; Engine is shard 0's (the
-	// engine of every component in a 1-shard machine, and the scheduling
-	// home for shard-agnostic bookkeeping otherwise). ShardOf maps mesh
-	// node -> owning shard.
-	Group   *sim.ShardGroup
-	Engine  *sim.Engine
-	ShardOf []int32
-	Net     *noc.Network
-	Dram    *mem.Memory
-	Hier    *cache.Hierarchy
-	AS      *tlb.AddressSpace
+	Cfg    Config
+	Engine *sim.Engine
+	Net    *noc.Network
+	Dram   *mem.Memory
+	Hier   *cache.Hierarchy
+	AS     *tlb.AddressSpace
 	// TLBs are the per-tile L2 TLBs (2k-entry, Table V); SE_L3 TLBs are
 	// separate 1k-entry ones.
 	TLBs    []*tlb.TLB
@@ -105,21 +94,18 @@ type Machine struct {
 	Obs     *obs.Registry
 	Tracer  *obs.Tracer
 	Sampler *obs.Sampler
-	// laneTracers are the per-shard trace rings behind Tracer on parallel
-	// machines; FinishTrace merges them deterministically.
-	laneTracers []*obs.Tracer
 	// Attrib is the run's cycle-attribution sink, nil unless a run opts in
-	// via SetAttribution; laneAttribs are the per-shard single-writer lanes
-	// behind it, folded in by FinishAttribution.
-	Attrib      *obs.Attribution
-	laneAttribs []*obs.Attribution
+	// via SetAttribution; lane is the lane every charge site writes during
+	// the run, folded into Attrib by FinishAttribution.
+	Attrib *obs.Attribution
+	lane   *obs.Attribution
 }
 
 // Normalize canonicalizes a config the way New does: NoC dimensions
-// follow the mesh, zero Cores means every tile, Shards clamps to
-// [1, MeshHeight]. Two configs that normalize equal build byte-identical
-// machines, so the normalized value (a comparable struct) is the digest
-// the runner's machine pool keys its free lists by.
+// follow the mesh and zero Cores means every tile. Two configs that
+// normalize equal build byte-identical machines, so the normalized value
+// (a comparable struct) is the digest the runner's machine pool keys its
+// free lists by.
 func Normalize(cfg Config) Config {
 	if cfg.MeshWidth <= 0 || cfg.MeshHeight <= 0 {
 		panic("machine: bad mesh")
@@ -128,47 +114,25 @@ func Normalize(cfg Config) Config {
 	if cfg.Cores == 0 {
 		cfg.Cores = cfg.MeshWidth * cfg.MeshHeight
 	}
-	if cfg.Shards < 1 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > cfg.MeshHeight {
-		cfg.Shards = cfg.MeshHeight
-	}
 	return cfg
 }
 
 // New assembles a machine.
 func New(cfg Config) *Machine {
 	cfg = Normalize(cfg)
-	// Row-band partition: contiguous rows share a shard, so every
-	// cross-shard message crosses at least one full link (the lookahead).
-	group := sim.NewShardGroup(cfg.Shards, noc.Lookahead(cfg.NoC))
-	engine := group.Engine(0)
-	shardOf := make([]int32, cfg.MeshWidth*cfg.MeshHeight)
-	for node := range shardOf {
-		shardOf[node] = int32((node / cfg.MeshWidth) * cfg.Shards / cfg.MeshHeight)
-	}
+	engine := sim.NewEngine()
 	net := noc.New(engine, cfg.NoC)
-	net.AttachShards(group, shardOf)
 	dram := mem.New(engine, cfg.Mem)
 	hier := cache.New(engine, net, dram, cfg.Cache)
-	hier.AttachShards(group, shardOf)
-	ctrlEngines := make([]*sim.Engine, 0, cfg.Mem.Controllers)
-	for _, node := range mem.CornerNodes(cfg.MeshWidth, cfg.MeshHeight, cfg.Mem.Controllers) {
-		ctrlEngines = append(ctrlEngines, group.Engine(int(shardOf[node])))
-	}
-	dram.AttachShards(ctrlEngines)
 	m := &Machine{
-		Cfg:     cfg,
-		Group:   group,
-		Engine:  engine,
-		ShardOf: shardOf,
-		Net:     net,
-		Dram:    dram,
-		Hier:    hier,
-		AS:      tlb.NewAddressSpace(cfg.UseHugePages, cfg.Seed),
-		Stats:   stats.NewSet(),
-		Obs:     obs.NewRegistry(),
+		Cfg:    cfg,
+		Engine: engine,
+		Net:    net,
+		Dram:   dram,
+		Hier:   hier,
+		AS:     tlb.NewAddressSpace(cfg.UseHugePages, cfg.Seed),
+		Stats:  stats.NewSet(),
+		Obs:    obs.NewRegistry(),
 	}
 	for i := 0; i < net.Nodes(); i++ {
 		m.TLBs = append(m.TLBs, tlb.New(tlb.Config{
@@ -197,13 +161,11 @@ func New(cfg Config) *Machine {
 // to New(m.Cfg) — a job run on a Reset machine must produce bit-identical
 // results — which holds because every piece of run state is either
 // cleared here or rebuilt per run (cores and SE state live in core.Run,
-// not on the Machine). Shard structure, precomputed routes and interned
+// not on the Machine). Precomputed routes, the NoC barrier and interned
 // counter ids survive: they are functions of Cfg alone.
 func (m *Machine) Reset() {
-	m.SetTracer(nil)
-	m.SetAttribution(nil)
-	m.Sampler = nil
-	m.Group.Reset()
+	m.Close()
+	m.Engine.Reset()
 	m.Net.Reset()
 	m.Dram.Reset()
 	m.Hier.Reset()
@@ -229,167 +191,95 @@ func (m *Machine) Reset() {
 
 // SetTracer attaches one event tracer to every traced component (nil
 // detaches). The components keep their own pointers so the hot-path guard
-// is a single field load + nil check. Each shard records into its own lane
-// ring (same capacity as tr) — even a 1-shard machine, so the merged trace
-// FinishTrace produces is in the same canonical order at every shard
-// count, not emission order for K = 1 and sorted order otherwise.
+// is a single field load + nil check.
 func (m *Machine) SetTracer(tr *obs.Tracer) {
 	m.Tracer = tr
-	m.laneTracers = nil
-	if tr == nil {
-		m.Hier.SetTracer(nil)
-		m.Net.SetTracer(nil)
-		m.Dram.SetTracer(nil)
-		return
-	}
-	m.laneTracers = make([]*obs.Tracer, m.Group.Shards())
-	for i := range m.laneTracers {
-		m.laneTracers[i] = obs.NewTracer(tr.Cap())
-		m.Hier.SetLaneTracer(i, m.laneTracers[i])
-	}
-	// The NoC traces only at barrier flushes, which run single-threaded
-	// while every shard is parked: lane 0 is safe.
-	m.Net.SetTracer(m.laneTracers[0])
-	ctrlNodes := mem.CornerNodes(m.Cfg.MeshWidth, m.Cfg.MeshHeight, m.Cfg.Mem.Controllers)
-	for ctrl, node := range ctrlNodes {
-		m.Dram.SetControllerTracer(ctrl, m.laneTracers[m.ShardOf[node]])
+	m.Hier.SetTracer(tr)
+	m.Net.SetTracer(tr)
+	m.Dram.SetTracer(tr)
+}
+
+// FinishTrace puts the run's trace into the canonical (Time, Kind, Tile,
+// A, B, Dur) order, so it does not depend on which component's event
+// happened to fire first within a cycle. Call it once, after the run;
+// runner.executeJob does.
+func (m *Machine) FinishTrace() {
+	if m.Tracer != nil {
+		m.Tracer.SortCanonical()
 	}
 }
 
-// SetAttribution attaches a cycle-attribution sink to every charge site
-// (nil detaches), following the SetTracer shape: each shard charges into
-// its own lane, the NoC (mutated only single-threaded, in canonical order)
-// uses lane 0, and each DRAM controller uses its owning shard's lane.
-// Charge sites fire at deterministic simulation events, so the totals
-// FinishAttribution folds into a are shard-count-invariant.
+// SetAttribution attaches a cycle-attribution sink (nil detaches). Every
+// charge site — caches, NoC, DRAM, and the cores and stream engines a run
+// builds (see AttributionLane) — charges one fresh lane, which
+// FinishAttribution folds into a.
 func (m *Machine) SetAttribution(a *obs.Attribution) {
 	m.Attrib = a
-	m.laneAttribs = nil
-	ctrlNodes := mem.CornerNodes(m.Cfg.MeshWidth, m.Cfg.MeshHeight, m.Cfg.Mem.Controllers)
-	if a == nil {
-		for i := 0; i < m.Group.Shards(); i++ {
-			m.Hier.SetLaneAttrib(i, nil)
-		}
-		m.Net.SetAttribution(nil)
-		for ctrl := range ctrlNodes {
-			m.Dram.SetControllerAttrib(ctrl, nil)
-		}
-		return
+	m.lane = nil
+	if a != nil {
+		m.lane = obs.NewAttribution()
 	}
-	m.laneAttribs = make([]*obs.Attribution, m.Group.Shards())
-	for i := range m.laneAttribs {
-		m.laneAttribs[i] = obs.NewAttribution()
-		m.Hier.SetLaneAttrib(i, m.laneAttribs[i])
-	}
-	m.Net.SetAttribution(m.laneAttribs[0])
-	for ctrl, node := range ctrlNodes {
-		m.Dram.SetControllerAttrib(ctrl, m.laneAttribs[m.ShardOf[node]])
-	}
+	m.Hier.SetAttribution(m.lane)
+	m.Net.SetAttribution(m.lane)
+	m.Dram.SetAttribution(m.lane)
 }
 
-// AttributionLane returns shard i's attribution lane (nil while
-// detached). Cores and SE state built per run charge into the lane of
-// the shard that owns their engine.
-func (m *Machine) AttributionLane(shard int) *obs.Attribution {
-	if len(m.laneAttribs) == 0 {
-		return nil
-	}
-	return m.laneAttribs[shard]
-}
+// AttributionLane returns the lane charge sites write during a run (nil
+// while attribution is detached). Cores and stream state built per run
+// charge into it.
+func (m *Machine) AttributionLane() *obs.Attribution { return m.lane }
 
-// FinishAttribution folds the per-shard lanes into the attached sink.
-// Call it once, after the run; runner.executeJob does. Merging is a
-// component-wise sum, so the result is lane-order-independent.
+// FinishAttribution folds the run's lane into the attached sink and
+// empties the lane. Call it once, after the run; runner.executeJob does.
 func (m *Machine) FinishAttribution() {
 	if m.Attrib == nil {
 		return
 	}
-	for _, l := range m.laneAttribs {
-		m.Attrib.Merge(l)
-		l.Reset()
-	}
+	m.Attrib.Merge(m.lane)
+	m.lane.Reset()
 }
 
 // ExecProfile snapshots the execution-dependent side of a run's profile:
-// shard count, windows, idle-cycle elision, wheel occupancy, and the
-// per-shard barrier critical path. Everything here varies with -shards
-// (and the stall seconds with host load), so it belongs in the report's
+// barrier windows, idle-cycle elision and wheel occupancy. None of it
+// describes the simulated machine, so it belongs in the report's
 // non-canonical Exec section, never in canonical output.
 func (m *Machine) ExecProfile() *obs.ExecReport {
-	rep := &obs.ExecReport{Shards: m.Group.Shards(), Windows: m.Group.Windows()}
-	var occ obs.Hist
-	for i := 0; i < m.Group.Shards(); i++ {
-		e := m.Group.Engine(i)
-		rep.IdleElidedCycles += e.IdleElided
-		buckets, count, sum := e.WheelOccupancy()
-		for b, n := range buckets {
-			occ.Buckets[b] += n
-		}
-		occ.Count += count
-		occ.Sum += sum
-	}
-	if occ.Count > 0 {
+	e := m.Engine
+	rep := &obs.ExecReport{Windows: e.Windows(), IdleElidedCycles: e.IdleElided}
+	buckets, count, sum := e.WheelOccupancy()
+	if count > 0 {
+		occ := obs.Hist{Buckets: buckets, Count: count, Sum: sum}
 		h := obs.ReportHist("wheel_occupancy", &occ)
 		rep.WheelOccupancy = &h
-	}
-	for _, ns := range m.Group.StallNanos() {
-		rep.ShardStallSeconds = append(rep.ShardStallSeconds, float64(ns)/1e9)
-	}
-	var anyLag bool
-	for _, n := range m.Group.LaggardWindows() {
-		if n != 0 {
-			anyLag = true
-			break
-		}
-	}
-	if anyLag {
-		rep.LaggardWindows = append(rep.LaggardWindows, m.Group.LaggardWindows()...)
 	}
 	return rep
 }
 
-// FinishTrace folds per-shard trace lanes into the attached tracer in
-// canonical order. Call it once, after the run; runner.ExecuteObs does.
-func (m *Machine) FinishTrace() {
-	if m.Tracer == nil || len(m.laneTracers) == 0 {
-		return
-	}
-	obs.MergeTracers(m.Tracer, m.laneTracers...)
-	for i := range m.laneTracers {
-		m.laneTracers[i] = obs.NewTracer(m.Tracer.Cap())
-		m.Hier.SetLaneTracer(i, m.laneTracers[i])
-	}
-}
-
-// EngineOf returns the engine that owns mesh node i; components and cores
-// colocated with node i must schedule all their local work there.
-func (m *Machine) EngineOf(node int) *sim.Engine { return m.Group.Engine(int(m.ShardOf[node])) }
-
-// Shards reports the shard count (>= 1).
-func (m *Machine) Shards() int { return m.Group.Shards() }
-
-// Run drains the machine: every shard's events fire, windows barrier on
-// the NoC exchange, and the final group time (the last event's cycle, as a
-// serial engine would report) returns.
-func (m *Machine) Run() sim.Time { return m.Group.Run() }
+// Run drains the machine and returns the final time (the last event's
+// cycle).
+func (m *Machine) Run() sim.Time { return m.Engine.Run() }
 
 // RunTo runs events with timestamps <= limit (the sampler's stepping
 // primitive); it reports whether the machine drained.
-func (m *Machine) RunTo(limit sim.Time) bool { return m.Group.RunTo(limit) }
+func (m *Machine) RunTo(limit sim.Time) bool { return m.Engine.RunTo(limit) }
 
-// Now returns the machine clock (the furthest shard).
-func (m *Machine) Now() sim.Time { return m.Group.Now() }
+// Now returns the machine clock.
+func (m *Machine) Now() sim.Time { return m.Engine.Now() }
 
-// ExecutedEvents sums fired events across shards.
-func (m *Machine) ExecutedEvents() uint64 { return m.Group.Executed() }
+// ExecutedEvents counts fired events.
+func (m *Machine) ExecutedEvents() uint64 { return m.Engine.Executed }
 
-// Stopped reports whether any shard engine was stopped (deadlock bail-out).
-func (m *Machine) Stopped() bool { return m.Group.Stopped() }
+// Stopped reports whether the engine was stopped (deadlock bail-out).
+func (m *Machine) Stopped() bool { return m.Engine.Stopped() }
 
-// Close releases the shard group's worker goroutines. Runs that may have
-// executed windows in parallel must Close when done; serial machines are
-// unaffected (Close is an idempotent no-op without workers).
-func (m *Machine) Close() { m.Group.Close() }
+// Close detaches the run's tracer, attribution sink and sampler, so an
+// idle or pooled machine holds no reference to a finished job's
+// observability records. Call FinishTrace and FinishAttribution first.
+func (m *Machine) Close() {
+	m.SetTracer(nil)
+	m.SetAttribution(nil)
+	m.Sampler = nil
+}
 
 // Tiles returns the mesh node count.
 func (m *Machine) Tiles() int { return m.Net.Nodes() }

@@ -47,34 +47,16 @@ func DefaultConfig() Config {
 // ticks. A machine whose cores and streams are parked therefore has an
 // empty event horizon and the clock jumps straight to the next arrival.
 type Memory struct {
-	cfg Config
-	// engines[i] is the engine controller i schedules on — all the same
-	// serial engine until AttachShards rebinds them, one per owning shard.
-	engines []*sim.Engine
+	cfg    Config
+	engine *sim.Engine
 	// nextFree is the earliest cycle each controller's data bus is idle.
 	nextFree []sim.Time
-	// lanes holds each controller's interned counters and tracer. Lanes are
-	// per controller (not per shard) so a controller only ever writes its
-	// own lane regardless of the partition; Stats sums them.
-	lanes []*memLane
-}
-
-// memLane is one controller's single-writer observability state.
-type memLane struct {
+	// reg holds the interned counters; tracer and attrib (usually nil)
+	// receive every controller's bursts and queue-wait charges.
 	reg                           *obs.Registry
 	ctrReads, ctrWrites, ctrBytes obs.Counter
 	tracer                        *obs.Tracer
-	// attrib receives the controller's queue-wait charges (nil = off);
-	// single-writer per controller like the tracer.
-	attrib *obs.Attribution
-}
-
-func newMemLane() *memLane {
-	l := &memLane{reg: obs.NewRegistry()}
-	l.ctrReads = l.reg.Counter("dram.reads")
-	l.ctrWrites = l.reg.Counter("dram.writes")
-	l.ctrBytes = l.reg.Counter("dram.bytes")
-	return l
+	attrib                        *obs.Attribution
 }
 
 // New builds the memory system.
@@ -90,66 +72,39 @@ func New(engine *sim.Engine, cfg Config) *Memory {
 	}
 	m := &Memory{
 		cfg:      cfg,
-		engines:  make([]*sim.Engine, cfg.Controllers),
+		engine:   engine,
 		nextFree: make([]sim.Time, cfg.Controllers),
-		lanes:    make([]*memLane, cfg.Controllers),
+		reg:      obs.NewRegistry(),
 	}
-	for i := range m.lanes {
-		m.engines[i] = engine
-		m.lanes[i] = newMemLane()
-	}
+	m.ctrReads = m.reg.Counter("dram.reads")
+	m.ctrWrites = m.reg.Counter("dram.writes")
+	m.ctrBytes = m.reg.Counter("dram.bytes")
 	return m
 }
 
-// AttachShards rebinds each controller to the engine of the shard that owns
-// its mesh node: engines[i] is controller i's engine. Counters and bus
-// state are already per controller, so nothing else moves.
-func (m *Memory) AttachShards(engines []*sim.Engine) {
-	if len(engines) != m.cfg.Controllers {
-		panic(fmt.Sprintf("mem: %d engines for %d controllers", len(engines), m.cfg.Controllers))
-	}
-	copy(m.engines, engines)
-}
-
 // Reset returns the memory system to its just-built state: idle buses,
-// zero counters, no tracers. Engine bindings survive (they are part of
-// the machine's shard layout, not of a run).
+// zero counters, no tracer or attribution.
 func (m *Memory) Reset() {
 	clear(m.nextFree)
-	for _, l := range m.lanes {
-		l.reg.Reset()
-		l.tracer = nil
-		l.attrib = nil
-	}
+	m.reg.Reset()
+	m.tracer = nil
+	m.attrib = nil
 }
 
-// Stats snapshots the memory counters as a stats set, summing the
-// per-controller lanes.
+// Stats snapshots the memory counters as a stats set.
 func (m *Memory) Stats() *stats.Set {
 	s := stats.NewSet()
-	for _, l := range m.lanes {
-		l.reg.ExportTo(s.Add)
-	}
+	m.reg.ExportTo(s.Add)
 	return s
 }
 
-// SetTracer attaches (or detaches, with nil) an event tracer to every
-// controller. Under a multi-shard partition controllers on different
-// shards would share the ring — racy; use SetControllerTracer per shard.
-func (m *Memory) SetTracer(tr *obs.Tracer) {
-	for _, l := range m.lanes {
-		l.tracer = tr
-	}
-}
+// SetTracer attaches (or detaches, with nil) an event tracer.
+func (m *Memory) SetTracer(tr *obs.Tracer) { m.tracer = tr }
 
-// SetControllerTracer attaches a tracer to one controller's lane.
-func (m *Memory) SetControllerTracer(ctrl int, tr *obs.Tracer) { m.lanes[ctrl].tracer = tr }
-
-// SetControllerAttrib attaches a cycle-attribution lane to one
-// controller (nil detaches). Each access charges the cycles it queued
-// behind the controller's busy data bus; the waits depend only on the
-// access sequence, which is shard-count-invariant.
-func (m *Memory) SetControllerAttrib(ctrl int, a *obs.Attribution) { m.lanes[ctrl].attrib = a }
+// SetAttribution attaches a cycle-attribution lane (nil detaches). Each
+// access charges the cycles it queued behind its controller's busy data
+// bus.
+func (m *Memory) SetAttribution(a *obs.Attribution) { m.attrib = a }
 
 // Config returns the memory configuration.
 func (m *Memory) Config() Config { return m.cfg }
@@ -166,13 +121,12 @@ func (m *Memory) Access(addr uint64, bytes int, write bool, onDone func()) sim.T
 		panic(fmt.Sprintf("mem: access of %d bytes", bytes))
 	}
 	ctrl := m.ControllerFor(addr)
-	e, lane := m.engines[ctrl], m.lanes[ctrl]
-	now := e.Now()
+	now := m.engine.Now()
 	start := now
 	if m.nextFree[ctrl] > start {
 		start = m.nextFree[ctrl]
 	}
-	if a := lane.attrib; a != nil {
+	if a := m.attrib; a != nil {
 		wait := uint64(start - now)
 		if wait > 0 {
 			a.Charge(obs.StallDRAMQueue, wait)
@@ -187,12 +141,12 @@ func (m *Memory) Access(addr uint64, bytes int, write bool, onDone func()) sim.T
 	m.nextFree[ctrl] = start + occupancy
 	done := start + occupancy + m.cfg.AccessLatency
 	if write {
-		lane.ctrWrites.Inc()
+		m.ctrWrites.Inc()
 	} else {
-		lane.ctrReads.Inc()
+		m.ctrReads.Inc()
 	}
-	lane.ctrBytes.Add(uint64(bytes))
-	if tr := lane.tracer; tr.Enabled() {
+	m.ctrBytes.Add(uint64(bytes))
+	if tr := m.tracer; tr.Enabled() {
 		var wr uint64
 		if write {
 			wr = 1
@@ -201,7 +155,7 @@ func (m *Memory) Access(addr uint64, bytes int, write bool, onDone func()) sim.T
 			Kind: obs.KindDRAM, Tile: int32(ctrl), A: uint64(bytes), B: wr})
 	}
 	if onDone != nil {
-		e.ScheduleAt(done, onDone)
+		m.engine.ScheduleAt(done, onDone)
 	}
 	return done
 }

@@ -8,7 +8,6 @@ package noc
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/obs"
 	"repro/internal/sim"
@@ -112,49 +111,13 @@ type Network struct {
 	ctrSends, ctrMulticasts obs.Counter
 	tracer                  *obs.Tracer
 	// attrib (usually nil) receives link-backpressure charges from
-	// deliveryTimeAt. Link reservation is global state mutated only
-	// single-threaded — serially, or at window barriers in canonical send
-	// order — so one lane is safe at any shard count and the charged waits
-	// are shard-count-invariant.
+	// deliveryTimeAt.
 	attrib *obs.Attribution
-	// sh is non-nil once AttachShards has bound the network to a
-	// ShardGroup; it turns Send/Multicast into capture sites whose
-	// routing is deferred to window barriers (see AttachShards).
-	sh *sharding
-}
-
-// sharding is the cross-shard exchange state of a partitioned network.
-//
-// Link reservation (deliveryTimeAt) is global, non-causal state: a send
-// from any node advances nextFree on every link of its route, so it can
-// never run concurrently from shard goroutines. Instead each shard
-// appends its window's sends to a private outbox, and at the window
-// barrier the ShardGroup's flush hook routes them all, single-threaded,
-// in canonical (send time, src node, per-src sequence) order. The order
-// is a function of the model alone — never of the shard count or the
-// goroutine schedule — so link contention resolves identically for every
-// K, and each delivery is scheduled on its destination shard's engine
-// with the send time as its stamp, which restores the serial engine's
-// intra-cycle position (see sim.Engine.ScheduleStampedAt).
-//
-// Same-node messages bypass the exchange for timing (they use no links
-// and their router-only latency may be below the group's lookahead) and
-// are scheduled immediately on their own shard's engine, exactly like
-// the serial path; only their accounting is deferred to the barrier so
-// counters and traffic stay single-writer.
-type sharding struct {
-	group   *sim.ShardGroup
-	shardOf []int32
-	outbox  [][]pendingSend
-	// sendSeq is the per-src-node send counter, the canonical tiebreak
-	// for same-cycle sends. Each node belongs to exactly one shard, so
-	// the counters are single-writer.
+	// outbox holds the current window's sends, routed at the engine's
+	// window barrier (see flush); sendSeq is the per-src-node send
+	// counter, the canonical tiebreak for same-cycle sends.
+	outbox  []pendingSend
 	sendSeq []uint64
-	scratch []pendingSend
-}
-
-func (sh *sharding) engineOf(node int32) *sim.Engine {
-	return sh.group.Engine(int(sh.shardOf[node]))
 }
 
 // pendingSend is one captured Send or Multicast awaiting barrier routing.
@@ -164,8 +127,8 @@ type pendingSend struct {
 	src, dst int32
 	bytes    int32
 	class    stats.TrafficClass
-	// local marks a same-node message already scheduled on its engine:
-	// the barrier only does its accounting.
+	// local marks a same-node message already scheduled at capture: the
+	// barrier only does its accounting.
 	local bool
 	fn    func()
 	// dsts/mfn describe a multicast (dst is unused); same-node members
@@ -174,7 +137,9 @@ type pendingSend struct {
 	mfn  func(dst int)
 }
 
-// New builds a network on the given engine.
+// New builds a network on the given engine and registers the network's
+// window barrier on it (see flush): the engine then runs in windows of
+// Lookahead(cfg) cycles.
 func New(engine *sim.Engine, cfg Config) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("noc: mesh dimensions must be positive")
@@ -196,7 +161,9 @@ func New(engine *sim.Engine, cfg Config) *Network {
 		}
 		n.horizonQd = false
 	}
+	n.sendSeq = make([]uint64, nodes)
 	n.buildRoutes()
+	engine.SetBarrier(Lookahead(cfg), n.captured, n.flush)
 	return n
 }
 
@@ -207,16 +174,15 @@ func (n *Network) SetTracer(tr *obs.Tracer) { n.tracer = tr }
 // SetAttribution attaches (or with nil detaches) a cycle-attribution
 // lane. Every link traversal charges its queueing wait — the cycles a
 // message sat behind earlier traffic on a link — and feeds the link-wait
-// histogram. Like the tracer on a sharded network, the single lane is
-// written only at barrier flushes, so lane 0 of the machine's set is safe.
+// histogram.
 func (n *Network) SetAttribution(a *obs.Attribution) { n.attrib = a }
 
-// Lookahead returns the conservative parallel-simulation window a mesh
-// supports: the minimum latency of any cross-node message, two router
-// traversals plus one link hop (serialization contributes at least one
-// further cycle, absorbed by the -1 in the delivery-time formula). A
-// degenerate zero-latency configuration clamps to one cycle; barrier
-// windows then still interleave correctly up to same-cycle ordering ties.
+// Lookahead returns the network's barrier window: the minimum latency of
+// any cross-node message, two router traversals plus one link hop
+// (serialization contributes at least one further cycle, absorbed by the
+// -1 in the delivery-time formula), so a message routed at the end of the
+// window it was sent in still arrives after that window. A degenerate
+// zero-latency configuration clamps to one cycle.
 func Lookahead(cfg Config) sim.Time {
 	la := 2*cfg.RouterLatency + cfg.LinkLatency
 	if la < 1 {
@@ -225,41 +191,12 @@ func Lookahead(cfg Config) sim.Time {
 	return la
 }
 
-// AttachShards binds the network to a ShardGroup: shardOf maps every mesh
-// node to the shard whose engine owns its components. From then on
-// Send/Multicast must be invoked from the shard owning m.Src (which is
-// automatic when components only message from their own event context),
-// cross-node deliveries are routed at window barriers (see sharding), and
-// the group's window must not exceed the mesh's Lookahead, or deliveries
-// could land inside a window that already executed.
-func (n *Network) AttachShards(g *sim.ShardGroup, shardOf []int32) {
-	if len(shardOf) != n.Nodes() {
-		panic(fmt.Sprintf("noc: shard map covers %d nodes, mesh has %d", len(shardOf), n.Nodes()))
-	}
-	if g.Window() > Lookahead(n.cfg) {
-		panic(fmt.Sprintf("noc: shard window %d exceeds mesh lookahead %d", g.Window(), Lookahead(n.cfg)))
-	}
-	for _, s := range shardOf {
-		if int(s) < 0 || int(s) >= g.Shards() {
-			panic(fmt.Sprintf("noc: shard %d outside group of %d", s, g.Shards()))
-		}
-	}
-	n.sh = &sharding{
-		group:   g,
-		shardOf: append([]int32(nil), shardOf...),
-		outbox:  make([][]pendingSend, g.Shards()),
-		sendSeq: make([]uint64, n.Nodes()),
-	}
-	n.engine = g.Engine(0) // the horizon event's (and Utilization's) clock
-	g.AddFlush(n.flushShards)
-}
-
 // Reset returns the network to its just-built state: idle links, zero
 // traffic and counters, no pending drain horizon. Precomputed routes and
-// the shard binding survive — they are functions of the configuration,
-// not of any run. Outboxes are normally drained by the final barrier;
-// clearing them here is defensive (an aborted run must not leak sends
-// into the next job).
+// the barrier registration survive — they are functions of the
+// configuration, not of any run. The outbox is normally drained by the
+// final barrier; clearing it here is defensive (an aborted run must not
+// leak sends into the next job).
 func (n *Network) Reset() {
 	n.Traffic.Reset()
 	clear(n.nextFree)
@@ -272,16 +209,9 @@ func (n *Network) Reset() {
 	n.reg.Reset()
 	n.tracer = nil
 	n.attrib = nil
-	if sh := n.sh; sh != nil {
-		clear(sh.sendSeq)
-		for i := range sh.outbox {
-			ob := sh.outbox[i]
-			for j := range ob {
-				ob[j] = pendingSend{}
-			}
-			sh.outbox[i] = ob[:0]
-		}
-	}
+	clear(n.sendSeq)
+	clear(n.outbox)
+	n.outbox = n.outbox[:0]
 }
 
 // Stats snapshots the network's interned counters into a stats.Set.
@@ -409,43 +339,26 @@ func (n *Network) serializationCycles(bytes int) sim.Time {
 	return sim.Time(c)
 }
 
-// Send routes a message, charges traffic, and schedules OnDeliver at the
-// arrival time. Local (src==dst) messages are delivered after the router
-// latency with no link traffic. On a sharded network cross-node routing
-// is captured and deferred to the window barrier (see sharding).
+// Send captures a message for routing at the window barrier, which
+// charges its traffic and schedules OnDeliver at the arrival time (see
+// flush). A local (src==dst) message uses no link and its router-only
+// latency may undercut the window, so OnDeliver is scheduled here, after
+// the router latency; only its accounting waits for the barrier.
 func (n *Network) Send(m *Message) {
 	n.check(m.Src)
 	n.check(m.Dst)
-	if sh := n.sh; sh != nil {
-		now := sh.engineOf(int32(m.Src)).Now()
-		sh.sendSeq[m.Src]++
-		p := pendingSend{at: now, seq: sh.sendSeq[m.Src],
-			src: int32(m.Src), dst: int32(m.Dst), bytes: int32(m.Bytes),
-			class: m.Class, fn: m.OnDeliver}
-		if m.Src == m.Dst {
-			// Same-node: no link state touched, and the router-only
-			// latency may undercut the lookahead window — deliver on the
-			// owning engine immediately, exactly like the serial path,
-			// deferring only the accounting.
-			p.local = true
-			if m.OnDeliver != nil {
-				sh.engineOf(int32(m.Src)).ScheduleAt(now+n.cfg.RouterLatency, m.OnDeliver)
-			}
+	now := n.engine.Now()
+	n.sendSeq[m.Src]++
+	p := pendingSend{at: now, seq: n.sendSeq[m.Src],
+		src: int32(m.Src), dst: int32(m.Dst), bytes: int32(m.Bytes),
+		class: m.Class, fn: m.OnDeliver}
+	if m.Src == m.Dst {
+		p.local = true
+		if m.OnDeliver != nil {
+			n.engine.ScheduleAt(now+n.cfg.RouterLatency, m.OnDeliver)
 		}
-		s := sh.shardOf[m.Src]
-		sh.outbox[s] = append(sh.outbox[s], p)
-		return
 	}
-	n.ctrSends.Inc()
-	hops := n.HopCount(m.Src, m.Dst)
-	n.Traffic.Record(m.Class, m.Bytes+n.cfg.HeaderBytes, hops)
-	arrive := n.deliveryTimeAt(n.engine.Now(), m.Src, m.Dst, m.Bytes)
-	if tr := n.tracer; tr.Enabled() {
-		now := n.engine.Now()
-		tr.Emit(obs.Event{Time: uint64(now), Dur: uint64(arrive - now),
-			Kind: obs.KindNoCMsg, Tile: int32(m.Src), A: uint64(m.Dst), B: uint64(m.Bytes)})
-	}
-	n.scheduleDelivery(arrive, m.OnDeliver)
+	n.outbox = append(n.outbox, p)
 }
 
 // deliveryTimeAt computes the arrival time of a message sent at now,
@@ -498,11 +411,7 @@ func (n *Network) BusyLinkCycles() uint64 {
 // Utilization returns the average fraction of link-cycles occupied so far
 // (Figure 12's companion metric). Zero before any traffic or time.
 func (n *Network) Utilization() float64 {
-	clock := n.engine.Now()
-	if n.sh != nil {
-		clock = n.sh.group.Now()
-	}
-	now := uint64(clock)
+	now := uint64(n.engine.Now())
 	if now == 0 {
 		return 0
 	}
@@ -513,145 +422,106 @@ func (n *Network) Utilization() float64 {
 	return float64(n.BusyLinkCycles()) / float64(uint64(links)*now)
 }
 
-func (n *Network) scheduleDelivery(at sim.Time, fn func()) {
-	n.Delivered++ // counted at send; the counter is only read after a run
-	if fn == nil {
-		// A run's drain time (and so its cycle count) must still cover
-		// fire-and-forget deliveries, but scheduling a nop per message
-		// only to hold the clock open wastes an engine event each. Fold
-		// them into the single chasing horizon event instead.
-		if at > n.drainAt {
-			n.drainAt = at
-		}
-		if !n.horizonQd {
-			n.horizonQd = true
-			n.engine.ScheduleAt(n.drainAt, n.horizonEv)
-		}
-		return
-	}
-	n.engine.ScheduleAt(at, fn)
-}
-
 // Multicast sends one payload to several destinations along a shared X-Y
 // tree: links common to multiple destinations are charged once, modelling
 // the router multicast support of Table V. OnDeliver (if non-nil) runs once
-// per destination. On a sharded network remote deliveries are deferred to
-// the window barrier like Send's.
+// per destination. Routing is deferred to the window barrier like Send's,
+// and a same-node member is delivered like a local Send.
 func (n *Network) Multicast(src int, dsts []int, bytes int, class stats.TrafficClass, onDeliver func(dst int)) {
 	n.check(src)
 	if len(dsts) == 0 {
 		return
 	}
-	if sh := n.sh; sh != nil {
-		now := sh.engineOf(int32(src)).Now()
-		sh.sendSeq[src]++
-		p := pendingSend{at: now, seq: sh.sendSeq[src], src: int32(src),
-			bytes: int32(bytes), class: class, mfn: onDeliver,
-			dsts: make([]int32, len(dsts))}
-		for i, d := range dsts {
-			n.check(d)
-			p.dsts[i] = int32(d)
-			if d == src && onDeliver != nil {
-				// Same-node member: deliver immediately, like Send.
-				d := d
-				sh.engineOf(int32(src)).ScheduleAt(now+n.cfg.RouterLatency, func() { onDeliver(d) })
-			}
+	now := n.engine.Now()
+	n.sendSeq[src]++
+	p := pendingSend{at: now, seq: n.sendSeq[src], src: int32(src),
+		bytes: int32(bytes), class: class, mfn: onDeliver,
+		dsts: make([]int32, len(dsts))}
+	for i, d := range dsts {
+		n.check(d)
+		p.dsts[i] = int32(d)
+		if d == src && onDeliver != nil {
+			d := d
+			n.engine.ScheduleAt(now+n.cfg.RouterLatency, func() { onDeliver(d) })
 		}
-		s := sh.shardOf[src]
-		sh.outbox[s] = append(sh.outbox[s], p)
-		return
 	}
-	n.multicastTraffic(src, dsts, nil, bytes, class)
-	for _, d := range dsts {
-		arrive := n.deliveryTimeAt(n.engine.Now(), src, d, bytes)
-		if tr := n.tracer; tr.Enabled() {
-			now := n.engine.Now()
-			tr.Emit(obs.Event{Time: uint64(now), Dur: uint64(arrive - now),
-				Kind: obs.KindNoCMsg, Tile: int32(src), A: uint64(d), B: uint64(bytes)})
-		}
-		if onDeliver == nil {
-			n.scheduleDelivery(arrive, nil)
-			continue
-		}
-		d := d
-		n.scheduleDelivery(arrive, func() { onDeliver(d) })
-	}
+	n.outbox = append(n.outbox, p)
 }
 
 // multicastTraffic charges a multicast tree's traffic: links shared by
 // several destinations count once, stamping the scratch array with a
-// fresh epoch instead of building a per-message set. Exactly one of
-// dsts/dsts32 is non-nil (the serial and deferred call sites).
-func (n *Network) multicastTraffic(src int, dsts []int, dsts32 []int32, bytes int, class stats.TrafficClass) {
+// fresh epoch instead of building a per-message set.
+func (n *Network) multicastTraffic(src int, dsts []int32, bytes int, class stats.TrafficClass) {
 	n.epoch++
 	if n.epoch == 0 { // wrapped: old stamps are ambiguous, clear them
 		clear(n.linkSeen)
 		n.epoch = 1
 	}
 	unique := 0
-	count := func(d int) {
-		n.check(d)
-		for _, l := range n.routeLinks(src, d) {
+	for _, d := range dsts {
+		for _, l := range n.routeLinks(src, int(d)) {
 			if n.linkSeen[l] != n.epoch {
 				n.linkSeen[l] = n.epoch
 				unique++
 			}
 		}
 	}
-	for _, d := range dsts {
-		count(d)
-	}
-	for _, d := range dsts32 {
-		count(int(d))
-	}
 	n.Traffic.Record(class, bytes+n.cfg.HeaderBytes, unique)
 	n.ctrMulticasts.Inc()
 }
 
-// flushShards is the ShardGroup barrier hook: it drains every shard's
-// outbox, orders the window's sends canonically by (send time, src node,
-// per-src sequence) — a key that does not depend on the shard count or
-// on goroutine scheduling — and routes them against the global link state
-// exactly as the serial Send path would have, scheduling each remote
-// delivery on its destination shard's engine stamped with the send time.
-func (n *Network) flushShards(limit sim.Time) {
-	sh := n.sh
-	buf := sh.scratch[:0]
-	for i := range sh.outbox {
-		buf = append(buf, sh.outbox[i]...)
-		ob := sh.outbox[i]
-		for j := range ob {
-			ob[j] = pendingSend{} // release closure/dsts references
-		}
-		sh.outbox[i] = ob[:0]
+// captured reports the send time of the oldest message awaiting the
+// barrier (the outbox fills in clock order), or MaxTime.
+func (n *Network) captured() sim.Time {
+	if len(n.outbox) == 0 {
+		return sim.MaxTime
 	}
-	if len(buf) == 0 {
-		sh.scratch = buf
-		return
-	}
-	sort.Slice(buf, func(i, j int) bool {
-		a, b := &buf[i], &buf[j]
-		if a.at != b.at {
-			return a.at < b.at
-		}
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		return a.seq < b.seq
-	})
-	for i := range buf {
-		n.routeDeferred(&buf[i], limit)
-		buf[i] = pendingSend{}
-	}
-	sh.scratch = buf[:0]
+	return n.outbox[0].at
 }
 
-// routeDeferred performs the serial Send/Multicast bookkeeping for one
-// captured message at the window barrier.
-func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
-	sh := n.sh
+// flush is the network's window barrier. Link reservation
+// (deliveryTimeAt) is non-causal state — a send from any node advances
+// nextFree on every link of its route — so the routing order decides who
+// wins a contended link. Routing a window's sends together, ordered by
+// (send time, src node, per-src sequence), makes that order a function of
+// the model alone, not of which component's event happened to fire first
+// within a cycle. Each delivery is scheduled stamped with its send time,
+// which restores the intra-cycle position an immediate schedule would
+// have had (see sim.Engine.ScheduleStampedAt). The order is part of the
+// figure-byte contract: the golden digests pin it.
+func (n *Network) flush(limit sim.Time) {
+	buf := n.outbox
+	// The outbox fills in clock order, so only the sends of one cycle can
+	// be out of (src, seq) order: an insertion sort is linear in practice.
+	for i := 1; i < len(buf); i++ {
+		for j := i; j > 0 && routesBefore(&buf[j], &buf[j-1]); j-- {
+			buf[j], buf[j-1] = buf[j-1], buf[j]
+		}
+	}
+	for i := range buf {
+		n.routeCaptured(&buf[i], limit)
+		buf[i] = pendingSend{} // release closure/dsts references
+	}
+	n.outbox = buf[:0]
+}
+
+// routesBefore is the canonical routing order: (send time, src node,
+// per-src sequence).
+func routesBefore(a, b *pendingSend) bool {
+	if a.at != b.at {
+		return a.at < b.at
+	}
+	if a.src != b.src {
+		return a.src < b.src
+	}
+	return a.seq < b.seq
+}
+
+// routeCaptured charges one captured message's traffic, reserves its links and
+// schedules its deliveries.
+func (n *Network) routeCaptured(p *pendingSend, limit sim.Time) {
 	if p.dsts != nil { // multicast
-		n.multicastTraffic(int(p.src), nil, p.dsts, int(p.bytes), p.class)
+		n.multicastTraffic(int(p.src), p.dsts, int(p.bytes), p.class)
 		for _, d := range p.dsts {
 			arrive := n.deliveryTimeAt(p.at, int(p.src), int(d), int(p.bytes))
 			if tr := n.tracer; tr.Enabled() {
@@ -667,7 +537,7 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 			default:
 				d := int(d)
 				mfn := p.mfn
-				sh.engineOf(int32(d)).ScheduleStampedAt(arrive, p.at, func() { mfn(d) })
+				n.engine.ScheduleStampedAt(arrive, p.at, func() { mfn(d) })
 			}
 		}
 		return
@@ -687,14 +557,16 @@ func (n *Network) routeDeferred(p *pendingSend, limit sim.Time) {
 	case p.local:
 		// Delivered at capture time; accounted here.
 	default:
-		sh.engineOf(p.dst).ScheduleStampedAt(arrive, p.at, p.fn)
+		n.engine.ScheduleStampedAt(arrive, p.at, p.fn)
 	}
 }
 
 // deferHorizon extends the drain horizon for a fire-and-forget delivery
-// routed at a barrier: the chasing horizon event (on shard 0's engine,
-// which may have run past the arrival already) keeps the group clock open
-// through the latest such arrival.
+// routed at a barrier: the chasing horizon event keeps the run's clock
+// open through the latest such arrival. A run's drain time (and so its
+// cycle count) must cover fire-and-forget deliveries, but a nop event per
+// message only to hold the clock open would waste an engine event each.
+// The horizon is never queued inside the window just closed.
 func (n *Network) deferHorizon(arrive, limit sim.Time) {
 	if arrive > n.drainAt {
 		n.drainAt = arrive

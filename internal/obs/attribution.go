@@ -18,15 +18,13 @@ import (
 // Charge/Observe methods are nil-receiver-safe single-branch no-ops, and
 // an enabled charge is two fixed-array adds. No maps, no allocation, ever.
 //
-// Lanes are single-writer like trace lanes: on a sharded machine each
-// shard engine charges its own lane and the lanes merge canonically after
-// the run. Every charge site fires at a deterministic simulation event —
-// the same events fire with the same outcomes at any shard count — so the
-// merged totals are byte-identical over the -shards × -j grid. Host-side
-// execution diagnostics (idle-elision savings, wheel occupancy, barrier
-// stalls) are NOT charges: they depend on the shard partition, so they
-// ride in the report's Exec section, which Canonical() strips alongside
-// Timing and Env.
+// A machine's charge sites write one lane during a run, which is merged
+// into the job's sink afterwards. Every charge site fires at a
+// deterministic simulation event, so the totals are byte-identical at any
+// -j. Host-side execution diagnostics (barrier windows, idle-elision
+// savings, wheel occupancy) are NOT charges: they describe how the engine
+// ran, not the simulated machine, so they ride in the report's Exec
+// section, which Canonical() strips alongside Timing and Env.
 
 // StallReason enumerates the blocking causes the model charges cycles to.
 type StallReason uint8
@@ -73,7 +71,7 @@ func (r StallReason) String() string { return stallNames[r] }
 // Component returns the subsystem the reason belongs to.
 func (r StallReason) Component() string { return stallComponents[r] }
 
-// HistKind enumerates the model-level (canonical, shard-invariant)
+// HistKind enumerates the model-level (canonical)
 // log-bucketed histograms an Attribution carries.
 type HistKind uint8
 
@@ -161,9 +159,8 @@ func (a *Attribution) Observe(k HistKind, v uint64) {
 	a.Hists[k].Observe(v)
 }
 
-// Merge adds src's charges into a. Used for the canonical cross-shard
-// lane merge; summation is order-independent, so the merged totals do not
-// depend on the shard count or merge order.
+// Merge adds src's charges into a. Summation is order-independent, so
+// merged totals do not depend on merge order.
 func (a *Attribution) Merge(src *Attribution) {
 	if a == nil || src == nil {
 		return
@@ -224,30 +221,22 @@ func ReportHist(name string, h *Hist) HistogramReport {
 }
 
 // ExecReport is the execution-dependent side of an attribution report:
-// how THIS run of the simulation went on THIS host with THIS shard
-// partition. Everything here varies with -shards (and some of it with
-// host load), so Canonical() strips it, exactly like JobTiming and RunEnv.
+// how the event engine ran the simulation, not what it simulated. It is
+// host-side scheduling data, so Canonical() strips it, exactly like
+// JobTiming and RunEnv.
 type ExecReport struct {
-	// Shards is the shard-engine count the job ran with.
-	Shards int `json:"shards,omitempty"`
-	// Windows is the number of barrier-synchronized windows executed.
+	// Windows is the number of barrier windows executed.
 	Windows uint64 `json:"windows,omitempty"`
-	// IdleElidedCycles is the total idle cycles the engines' time wheels
-	// skipped instead of ticking through (summed over shards).
+	// IdleElidedCycles is the total idle cycles the engine's time wheel
+	// skipped instead of ticking through.
 	IdleElidedCycles uint64 `json:"idle_elided_cycles,omitempty"`
 	// WheelOccupancy is the distribution of pending wheel events observed
-	// at slow-path scheduler steps (summed over shards).
+	// at slow-path scheduler steps.
 	WheelOccupancy *HistogramReport `json:"wheel_occupancy,omitempty"`
-	// ShardStallSeconds is per-shard wall-clock time spent waiting at
-	// window barriers for the slowest shard.
-	ShardStallSeconds []float64 `json:"shard_stall_seconds,omitempty"`
-	// LaggardWindows counts, per shard, the windows where that shard was
-	// the slowest — the shard on the barrier critical path.
-	LaggardWindows []uint64 `json:"laggard_windows,omitempty"`
 }
 
 // AttributionReport is the attribution section of a JobReport. Stalls and
-// Hists are canonical — byte-identical for a job at any -shards/-j — and
+// Hists are canonical — byte-identical for a job at any -j — and
 // list entries in fixed enum order, skipping zeros. Exec is the
 // execution-dependent remainder, stripped by RunReport.Canonical.
 type AttributionReport struct {
@@ -286,8 +275,8 @@ func (a *Attribution) Report() *AttributionReport {
 
 // WriteStallTable renders the attribution sections of a report as a flat
 // text table: one block per job, reasons sorted by charged cycles (then
-// count), with a shard-imbalance footer when the job ran sharded. This is
-// the -stall-report surface of nsexp and nsrun.
+// count), with an engine footer when the report carries one. This is the
+// -stall-report surface of nsexp and nsrun.
 func WriteStallTable(w io.Writer, rep *RunReport) error {
 	bw := bufio.NewWriter(w)
 	blocks := 0
@@ -341,18 +330,8 @@ func writeJobStalls(bw *bufio.Writer, a *AttributionReport) {
 	}
 	if ex := a.Exec; ex != nil {
 		if ex.IdleElidedCycles > 0 || ex.Windows > 0 {
-			fmt.Fprintf(bw, "  exec: shards=%d windows=%d idle_elided_cycles=%d\n",
-				ex.Shards, ex.Windows, ex.IdleElidedCycles)
-		}
-		if len(ex.ShardStallSeconds) > 1 {
-			fmt.Fprintf(bw, "  %-6s %14s %14s\n", "shard", "stall_s", "laggard_win")
-			for i, s := range ex.ShardStallSeconds {
-				var lw uint64
-				if i < len(ex.LaggardWindows) {
-					lw = ex.LaggardWindows[i]
-				}
-				fmt.Fprintf(bw, "  %-6d %14.3f %14d\n", i, s, lw)
-			}
+			fmt.Fprintf(bw, "  exec: windows=%d idle_elided_cycles=%d\n",
+				ex.Windows, ex.IdleElidedCycles)
 		}
 	}
 }

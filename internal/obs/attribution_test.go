@@ -40,7 +40,7 @@ func TestHistBucketPlacement(t *testing.T) {
 
 func TestHistMergeEqualsInterleavedObserve(t *testing.T) {
 	// Merging two lanes must equal observing the union in any order —
-	// the property the canonical cross-shard merge depends on.
+	// the property FinishAttribution's lane-to-sink merge depends on.
 	var whole, a, b Hist
 	vals := []uint64{0, 1, 5, 64, 64, 1000, 1 << 40}
 	for i, v := range vals {
@@ -151,7 +151,7 @@ func TestRunReportCanonicalStripsExec(t *testing.T) {
 			Attribution: &AttributionReport{
 				Schema: AttributionSchema,
 				Stalls: []StallEntry{{Reason: "mshr_merge", Component: "cache", Count: 3}},
-				Exec:   &ExecReport{Shards: 4, Windows: 9, ShardStallSeconds: []float64{0.1, 0.2}},
+				Exec:   &ExecReport{Windows: 9, IdleElidedCycles: 120},
 			},
 		}},
 	}
@@ -177,11 +177,7 @@ func TestWriteStallTableRendersChargesAndExec(t *testing.T) {
 				{Reason: "dram_queue", Component: "mem", Count: 2, Cycles: 40},
 			},
 			Hists: []HistogramReport{{Name: "dram_queue_wait_cycles", Count: 2, Sum: 40}},
-			Exec: &ExecReport{
-				Shards: 2, Windows: 5,
-				ShardStallSeconds: []float64{0.5, 0},
-				LaggardWindows:    []uint64{1, 4},
-			},
+			Exec:  &ExecReport{Windows: 5, IdleElidedCycles: 17},
 		},
 	}, {Key: "no-attrib"}}}
 	var buf bytes.Buffer
@@ -193,8 +189,7 @@ func TestWriteStallTableRendersChargesAndExec(t *testing.T) {
 		"histogram|NS",
 		"dram_queue", "100.0", // all cycles on one reason
 		"hist dram_queue_wait_cycles", "mean=20.0",
-		"exec: shards=2 windows=5",
-		"laggard_win",
+		"exec: windows=5 idle_elided_cycles=17",
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("stall table missing %q:\n%s", want, out)

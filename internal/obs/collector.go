@@ -15,9 +15,9 @@ type JobRecord struct {
 	Trace *Tracer
 	// Sampler is the job's time series (nil when sampling is off).
 	Sampler *Sampler
-	// Attrib is the job's merged cycle-attribution lane (nil when
-	// attribution is off). The executing worker attaches it to its machine
-	// and merges the per-shard lanes back into it after the run.
+	// Attrib is the job's cycle-attribution sink (nil when attribution is
+	// off). The executing worker attaches it to its machine, which folds
+	// the run's lane into it after the run.
 	Attrib *Attribution
 	// Exec is the execution-dependent attribution remainder the worker
 	// fills after the run (nil when attribution is off or the job was

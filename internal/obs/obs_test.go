@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -49,6 +50,35 @@ func TestTracerRingWrapAndDrop(t *testing.T) {
 		if ev.Time != uint64(i+2) {
 			t.Fatalf("event %d time = %d, want %d (oldest-first)", i, ev.Time, i+2)
 		}
+	}
+}
+
+// TestTracerSortCanonical checks that SortCanonical orders the retained
+// events of a wrapped ring, and that later emits keep overwriting the
+// oldest event.
+func TestTracerSortCanonical(t *testing.T) {
+	tr := NewTracer(4)
+	for _, ev := range []Event{
+		{Time: 9}, // overwritten by the fifth emit
+		{Time: 8},
+		{Time: 5, Kind: KindDRAM},
+		{Time: 5, Kind: KindMSHR, Tile: 2},
+		{Time: 3},
+	} {
+		tr.Emit(ev)
+	}
+	tr.SortCanonical()
+	want := []Event{{Time: 3}, {Time: 5, Kind: KindMSHR, Tile: 2}, {Time: 5, Kind: KindDRAM}, {Time: 8}}
+	if got := tr.Events(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("sorted events %v, want %v", got, want)
+	}
+	if tr.Total() != 5 || tr.Dropped() != 1 {
+		t.Fatalf("total/dropped = %d/%d, want 5/1", tr.Total(), tr.Dropped())
+	}
+	tr.Emit(Event{Time: 6})
+	want = append(want[1:], Event{Time: 6})
+	if got := tr.Events(); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("after emit %v, want %v", got, want)
 	}
 }
 

@@ -1,6 +1,9 @@
 package obs
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // Kind labels a traced event.
 type Kind uint8
@@ -150,40 +153,34 @@ func (t *Tracer) Cap() int {
 	return len(t.ring)
 }
 
-// MergeTracers replays the union of the lanes' retained events into dst in
-// a canonical full-field order (Time, Kind, Tile, A, B, Dur). A sharded
-// machine records each shard's events into its own lane; because the
-// multiset of events is shard-count-invariant, the sorted replay makes the
-// merged trace byte-identical at any shard count and goroutine schedule.
-// Dropped events (wrapped lanes) are folded into dst's drop count.
-func MergeTracers(dst *Tracer, lanes ...*Tracer) {
-	var all []Event
-	var dropped uint64
-	for _, l := range lanes {
-		all = append(all, l.Events()...)
-		dropped += l.Dropped()
+// SortCanonical reorders the retained events into the canonical
+// full-field order (Time, Kind, Tile, A, B, Dur). Events recorded within
+// one cycle arrive in whatever order the model's events fired, so sorting
+// makes the trace depend only on what happened, not on that order.
+func (t *Tracer) SortCanonical() {
+	evs := t.Events()
+	if len(evs) == 0 {
+		return
 	}
-	sort.Slice(all, func(i, j int) bool {
-		a, b := all[i], all[j]
-		if a.Time != b.Time {
-			return a.Time < b.Time
+	slices.SortFunc(evs, func(a, b Event) int {
+		if c := cmp.Compare(a.Time, b.Time); c != 0 {
+			return c
 		}
-		if a.Kind != b.Kind {
-			return a.Kind < b.Kind
+		if c := cmp.Compare(a.Kind, b.Kind); c != 0 {
+			return c
 		}
-		if a.Tile != b.Tile {
-			return a.Tile < b.Tile
+		if c := cmp.Compare(a.Tile, b.Tile); c != 0 {
+			return c
 		}
-		if a.A != b.A {
-			return a.A < b.A
+		if c := cmp.Compare(a.A, b.A); c != 0 {
+			return c
 		}
-		if a.B != b.B {
-			return a.B < b.B
+		if c := cmp.Compare(a.B, b.B); c != 0 {
+			return c
 		}
-		return a.Dur < b.Dur
+		return cmp.Compare(a.Dur, b.Dur)
 	})
-	dst.total += dropped
-	for _, ev := range all {
-		dst.Emit(ev)
-	}
+	// Lay the ring out oldest-first from slot 0.
+	copy(t.ring, evs)
+	t.next = len(evs) % len(t.ring)
 }

@@ -75,11 +75,6 @@ type Pool struct {
 	hits     uint64
 	diskHits uint64
 	remote   uint64
-	// shards is the per-job shard-engine count (1 = serial machines);
-	// stallNanos accumulates each shard's barrier-stall wall time across
-	// every simulation this pool executed.
-	shards     int
-	stallNanos []uint64
 }
 
 // memoEntry is one cached measurement; done closes once res/err are final.
@@ -103,7 +98,6 @@ func NewPool(workers int) *Pool {
 		workers: workers,
 		sem:     make(chan struct{}, workers),
 		memo:    make(map[string]*memoEntry),
-		shards:  1,
 		env: &execEnv{
 			machines: newMachinePool(workers),
 			arenas:   &arenaPool{},
@@ -153,28 +147,6 @@ func (p *Pool) DatasetCacheStats() (hits, misses, evictions uint64, bytes int64)
 
 // Workers reports the concurrency bound.
 func (p *Pool) Workers() int { return p.workers }
-
-// SetShards sets the per-job shard-engine count for subsequent executions
-// (<= 1 means serial). Like the worker bound it never changes a result,
-// only how each simulation is scheduled. Set before the first Run.
-func (p *Pool) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	p.shards = n
-}
-
-// Shards reports the per-job shard-engine count.
-func (p *Pool) Shards() int { return p.shards }
-
-// ShardStalls returns a copy of the cumulative per-shard barrier-stall wall
-// time, in nanoseconds, summed over every simulation this pool executed.
-// Empty until a multi-shard job has run windows in parallel.
-func (p *Pool) ShardStalls() []uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return append([]uint64(nil), p.stallNanos...)
-}
 
 // Executed reports how many simulations actually ran.
 func (p *Pool) Executed() uint64 {
@@ -485,31 +457,19 @@ func (p *Pool) executeEntry(ctx context.Context, j Job, key string, e *memoEntry
 	}
 
 	start := time.Now()
-	var stalls []uint64
-	e.res, stalls, e.err = execute(j, rec, p.shards, p.env)
+	e.res, e.err = execute(j, rec, p.env)
 	if rec != nil {
 		wall := time.Since(start).Seconds()
 		rec.Timing.WallSeconds = wall
 		if wall > 0 {
 			rec.Timing.SimCyclesPerSec = float64(rec.SimCycles) / wall
 		}
-		var sum uint64
-		for _, n := range stalls {
-			sum += n
-		}
-		rec.Timing.ShardStallSeconds = float64(sum) / 1e9
 		if e.err != nil {
 			rec.Err = e.err.Error()
 		}
 	}
 	p.mu.Lock()
 	p.executed++
-	for i, n := range stalls {
-		if i >= len(p.stallNanos) {
-			p.stallNanos = append(p.stallNanos, 0)
-		}
-		p.stallNanos[i] += n
-	}
 	p.mu.Unlock()
 	if e.err == nil && p.Disk != nil {
 		p.Disk.Put(key, e.res)
@@ -532,16 +492,16 @@ func (p *Pool) cancelEntry(key string, e *memoEntry) {
 	close(e.done)
 }
 
-// execute wraps ExecuteShardsObs, converting a panicking job (e.g. an
+// execute wraps executeJob, converting a panicking job (e.g. an
 // unknown workload name) into an error: inside the pool, one bad job must
 // fail that job, not crash the process from a worker goroutine.
-func execute(j Job, rec *obs.JobRecord, shards int, env *execEnv) (res *Result, stalls []uint64, err error) {
+func execute(j Job, rec *obs.JobRecord, env *execEnv) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			res, stalls, err = nil, nil, fmt.Errorf("runner: job %s panicked: %v", j.Key(), r)
+			res, err = nil, fmt.Errorf("runner: job %s panicked: %v", j.Key(), r)
 		}
 	}()
-	return executeJob(j, rec, shards, env)
+	return executeJob(j, rec, env)
 }
 
 // RunOne executes (or recalls) a single job.

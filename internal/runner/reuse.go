@@ -10,7 +10,7 @@ import (
 )
 
 // execEnv carries a pool's reuse facilities into one job execution. A
-// nil env (the public Execute/ExecuteObs/ExecuteShardsObs entry points)
+// nil env (the public Execute/ExecuteObs entry points)
 // means fresh-build semantics: new machine, GC-backed arrays, generated
 // dataset. Reuse is observationally equivalent — the machine Reset
 // contract and the dataset cache both reproduce a fresh build bit for
@@ -23,7 +23,7 @@ type execEnv struct {
 
 // machinePool is a per-config free list of whole machines. Building a
 // machine allocates the mesh routes, cache arrays, directory tables and
-// shard engines — tens of MB and millions of allocations at paper scale
+// event engine — tens of MB and millions of allocations at paper scale
 // — so jobs check one out, Reset it (see machine.Machine.Reset) and
 // return it instead of rebuilding. Keyed by the normalized config (a
 // comparable struct: the config digest); per-key depth is capped at the
@@ -66,8 +66,8 @@ func (mp *machinePool) get(cfg machine.Config) *machine.Machine {
 
 // put returns a machine whose job completed cleanly. Machines from
 // failed or panicked jobs must be discarded (Close) instead — their
-// state is suspect. Close before pooling releases any shard worker
-// goroutines; a ShardGroup restarts them on its next run.
+// state is suspect. Close before pooling detaches the finished job's
+// tracer, attribution sink and sampler.
 func (mp *machinePool) put(m *machine.Machine) {
 	m.Close()
 	mp.mu.Lock()

@@ -88,8 +88,7 @@ func TestDatasetCacheEvictsLRU(t *testing.T) {
 
 // TestMachinePoolKeyNormalization pins the pool-key contract: get is
 // keyed by the normalized config, so a raw config (zero NoC dims, zero
-// Cores, unclamped Shards) checks out a machine that was pooled under
-// its canonical m.Cfg.
+// Cores) checks out a machine that was pooled under its canonical m.Cfg.
 func TestMachinePoolKeyNormalization(t *testing.T) {
 	mp := newMachinePool(2)
 	raw := machine.CI()

@@ -4,9 +4,8 @@
 // across worker goroutines with an in-process memo cache keyed by the job
 // digest, so a measurement shared by several figures (every figure's
 // (workload, Base) denominator, for instance) simulates exactly once per
-// process. Each simulation is a self-contained sim.ShardGroup of
-// deterministic engines, so results are bit-for-bit identical at any
-// worker count and any shard count.
+// process. Each simulation is a self-contained deterministic engine, so
+// results are bit-for-bit identical at any worker count.
 package runner
 
 import (
@@ -128,20 +127,7 @@ func Execute(j Job) (*Result, error) { return ExecuteObs(j, nil) }
 // Tracing and sampling observe the run without perturbing it, so the
 // Result is identical either way.
 func ExecuteObs(j Job, rec *obs.JobRecord) (*Result, error) {
-	res, _, err := ExecuteShardsObs(j, rec, 1)
-	return res, err
-}
-
-// ExecuteShardsObs is ExecuteObs with the machine partitioned into shards
-// parallel DES engines. Shards is an execution knob like the pool's worker
-// count — the Result and report are bit-identical at any value — so it is
-// not part of Job or its memo key. Stream systems (whose per-bank engines
-// assume a single clock domain for SCM scheduling) are clamped to one
-// shard; only Base fans out. The second return value is the per-shard
-// wall-clock nanoseconds spent stalled at window barriers (nil when the
-// machine ran serially) — a load-balance diagnostic, not a result.
-func ExecuteShardsObs(j Job, rec *obs.JobRecord, shards int) (*Result, []uint64, error) {
-	return executeJob(j, rec, shards, nil)
+	return executeJob(j, rec, nil)
 }
 
 // executeJob is the execution core behind the public entry points and the
@@ -152,13 +138,9 @@ func ExecuteShardsObs(j Job, rec *obs.JobRecord, shards int) (*Result, []uint64,
 // the same (workload, scale, seed) produced it. All three are
 // observationally equivalent to fresh construction, so the Result is
 // bit-identical with or without env.
-func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, []uint64, error) {
+func executeJob(j Job, rec *obs.JobRecord, env *execEnv) (*Result, error) {
 	w := workloads.Get(j.Workload, j.Scale)
-	needPf := j.System == core.Base
-	mc := MachineConfig(j, needPf)
-	if j.System == core.Base {
-		mc.Shards = shards
-	}
+	mc := MachineConfig(j, j.System == core.Base)
 	var m *machine.Machine
 	if env != nil && env.machines != nil {
 		m = env.machines.get(mc)
@@ -205,7 +187,7 @@ func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, [
 	for it := 0; it < w.Iters; it++ {
 		res, err := core.Run(m, w.Kernel, j.System, params, w.Params, d)
 		if err != nil {
-			return nil, nil, fmt.Errorf("%s/%v: %w", j.Workload, j.System, err)
+			return nil, fmt.Errorf("%s/%v: %w", j.Workload, j.System, err)
 		}
 		for _, n := range res.DynOps {
 			out.TotalOps += n
@@ -233,10 +215,6 @@ func executeJob(j Job, rec *obs.JobRecord, shards int, env *execEnv) (*Result, [
 	out.LockAcquires = s.Get("lock.acquires")
 	out.LockConflicts = s.Get("lock.conflicts")
 	out.Energy = energy.Estimate(energy.ForCore(coreTypeName(j.CoreType)), s, out.TotalOps, out.Cycles)
-	var stalls []uint64
-	if m.Shards() > 1 {
-		stalls = append(stalls, m.Group.StallNanos()...)
-	}
 	pooled = true
-	return out, stalls, nil
+	return out, nil
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -291,7 +292,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promMetric(w, "nsd_pool_memo_hits_total", "counter", "Job requests served from the in-process memo cache.", pool.Hits())
 	promMetric(w, "nsd_pool_disk_hits_total", "counter", "Job requests served from the persistent result store.", pool.DiskHits())
 	promMetric(w, "nsd_pool_workers", "gauge", "Pool worker-goroutine bound.", pool.Workers())
-	promMetric(w, "nsd_pool_shards", "gauge", "Per-job shard-engine count (1 = serial machines).", pool.Shards())
 	mh, mm := pool.MachineReuse()
 	promMetric(w, "nsd_machine_pool_hits_total", "counter", "Jobs that ran on a pooled (Reset) machine.", mh)
 	promMetric(w, "nsd_machine_pool_misses_total", "counter", "Jobs that built a machine fresh.", mm)
@@ -300,13 +300,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	promMetric(w, "nsd_dataset_cache_misses_total", "counter", "Workload datasets generated fresh.", dm)
 	promMetric(w, "nsd_dataset_cache_evictions_total", "counter", "Dataset cache LRU evictions.", dev)
 	promMetric(w, "nsd_dataset_cache_bytes", "gauge", "Dataset cache resident bytes.", db)
-	if stalls := pool.ShardStalls(); len(stalls) > 0 {
-		fmt.Fprintf(w, "# HELP nsd_shard_window_stall_seconds Cumulative wall time each shard spent stalled at window barriers.\n")
-		fmt.Fprintf(w, "# TYPE nsd_shard_window_stall_seconds gauge\n")
-		for i, n := range stalls {
-			fmt.Fprintf(w, "nsd_shard_window_stall_seconds{shard=\"%d\"} %.6f\n", i, float64(n)/1e9)
-		}
-	}
 	if s.store != nil {
 		promMetric(w, "nsd_store_entries", "gauge", "Entries in the persistent result store.", s.store.Len())
 		promMetric(w, "nsd_store_size_bytes", "gauge", "Persistent result store size on disk.", s.store.SizeBytes())
@@ -326,10 +319,37 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// MaxRequestBody bounds every request body the daemon reads. A job or
+// registration request is a few hundred bytes; the bound stops a client
+// from making the daemon buffer an arbitrarily large JSON value.
+const MaxRequestBody = 1 << 20
+
+// DecodeBody decodes r's JSON body into v, reading at most MaxRequestBody
+// bytes. On failure it returns the status to answer with: 413 for an
+// oversize body, 400 for anything else.
+func DecodeBody(w http.ResponseWriter, r *http.Request, v any) (int, error) {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxRequestBody)).Decode(v)
+	return bodyErrorStatus(err), err
+}
+
+// bodyErrorStatus maps a request-body read error to its response status
+// (0 for no error).
+func bodyErrorStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return 0
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge
+	default:
+		return http.StatusBadRequest
+	}
+}
+
 func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 	var req JobRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, "bad job request: %v", err)
+	if code, err := DecodeBody(w, r, &req); err != nil {
+		writeError(w, code, "bad job request: %v", err)
 		return
 	}
 	job, err := s.buildJob(req)
@@ -348,6 +368,12 @@ func (s *Server) handleSubmitJob(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmitFigure(w http.ResponseWriter, r *http.Request) {
+	// The request is the path and query; a body is ignored, but read
+	// through the same bound as every other route.
+	if _, err := io.Copy(io.Discard, http.MaxBytesReader(w, r.Body, MaxRequestBody)); err != nil {
+		writeError(w, bodyErrorStatus(err), "bad figure request: %v", err)
+		return
+	}
 	fig := r.PathValue("fig")
 	known := false
 	for _, id := range harness.FigureIDs() {
@@ -561,7 +587,6 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 		Command:   "nsd",
 		GoVersion: runtime.Version(),
 		Workers:   pool.Workers(),
-		Shards:    pool.Shards(),
 	}
 	if s.fleetEnv != nil {
 		rep.Env.Fleet = s.fleetEnv()
@@ -573,15 +598,13 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 // liveSnapshot is one /api/v1/live SSE payload: the gauges a dashboard
 // would poll from /metrics, pushed instead.
 type liveSnapshot struct {
-	Time              string    `json:"time"`
-	Executed          uint64    `json:"executed"`
-	MemoHits          uint64    `json:"memo_hits"`
-	DiskHits          uint64    `json:"disk_hits"`
-	Workers           int       `json:"workers"`
-	Shards            int       `json:"shards"`
-	Tasks             int       `json:"tasks"`
-	InFlight          int       `json:"in_flight"`
-	ShardStallSeconds []float64 `json:"shard_stall_seconds,omitempty"`
+	Time     string `json:"time"`
+	Executed uint64 `json:"executed"`
+	MemoHits uint64 `json:"memo_hits"`
+	DiskHits uint64 `json:"disk_hits"`
+	Workers  int    `json:"workers"`
+	Tasks    int    `json:"tasks"`
+	InFlight int    `json:"in_flight"`
 }
 
 // live builds the current snapshot.
@@ -593,10 +616,6 @@ func (s *Server) live() liveSnapshot {
 		MemoHits: pool.Hits(),
 		DiskHits: pool.DiskHits(),
 		Workers:  pool.Workers(),
-		Shards:   pool.Shards(),
-	}
-	for _, n := range pool.ShardStalls() {
-		snap.ShardStallSeconds = append(snap.ShardStallSeconds, float64(n)/1e9)
 	}
 	s.mu.Lock()
 	snap.Tasks = len(s.order)

@@ -26,11 +26,10 @@ type Event func()
 //
 // stamp is the event's logical scheduling time: the cycle the cause of the
 // event happened. Plain Schedule/ScheduleAt set stamp = now, so ordering
-// by (at, stamp, seq) is exactly the classic (at, seq) FIFO. The shard
-// exchange (ScheduleStampedAt) back-dates stamp to the cross-shard send
-// time, which slots a deferred delivery at the position it would have had
-// if scheduled the moment it was sent — the keystone of the parallel
-// engine's determinism argument (see ShardGroup).
+// by (at, stamp, seq) is exactly the classic (at, seq) FIFO. A delivery
+// deferred to a window barrier (ScheduleStampedAt) back-dates stamp to
+// its send time, which slots it at the position it would have had if
+// scheduled the moment it was sent (see SetBarrier).
 type scheduled struct {
 	at    Time
 	stamp Time
@@ -87,8 +86,8 @@ type bucket struct {
 //
 // The ordering contract generalizes the heap-only engine's: events fire
 // in (time, stamp, sequence) order, where stamp is the cycle the event was
-// scheduled (back-dated by ScheduleStampedAt for deferred cross-shard
-// deliveries). For events scheduled through plain Schedule/ScheduleAt the
+// scheduled (back-dated by ScheduleStampedAt for deliveries deferred to a
+// window barrier). For events scheduled through plain Schedule/ScheduleAt the
 // stamp is the monotone engine clock, so (time, stamp, sequence) order
 // coincides exactly with the classic (time, sequence) FIFO-within-a-cycle
 // order; at equal timestamps heap and wheel events are compared by
@@ -109,6 +108,12 @@ type Engine struct {
 	queue []scheduled
 
 	stopped bool
+	// window/captured/flush are the optional window barrier (see
+	// SetBarrier); windows counts the barrier windows executed.
+	window   Time
+	captured func() Time
+	flush    func(limit Time)
+	windows  uint64
 	// recurrings lists every Recurring built on this engine so Reset can
 	// park them (see Reset).
 	recurrings []*Recurring
@@ -118,9 +123,8 @@ type Engine struct {
 	// IdleElided accumulates simulated cycles the slow path jumped over
 	// without visiting — the engine's idle-elision savings. Like Executed
 	// it is always on (one add per slow-path step) and host-side only: it
-	// never feeds back into the model. On a sharded group each engine
-	// counts its own gaps, so the total depends on the partition — report
-	// consumers treat it as execution data, not model data.
+	// never feeds back into the model, so report consumers treat it as
+	// execution data, not model data.
 	IdleElided uint64
 	// occHist buckets the wheel occupancy (pending wheel events) observed
 	// at each slow-path step by bit length; occSum/occObs carry the sum
@@ -183,10 +187,10 @@ func (e *Engine) ScheduleAt(at Time, fn Event) {
 }
 
 // ScheduleStampedAt runs fn at absolute time at with a back-dated logical
-// scheduling time stamp <= at. It exists for the cross-shard exchange: a
-// message captured at send time stamp and routed at a window barrier is
-// delivered in exactly the order it would have occupied had it been
-// scheduled the moment it was sent, because events fire in
+// scheduling time stamp <= at. It exists for barrier flushes: a message
+// captured at send time stamp and routed at a window barrier is delivered
+// in exactly the order it would have occupied had it been scheduled the
+// moment it was sent, because events fire in
 // (at, stamp, seq) order and plain schedules stamp with the engine clock.
 // Scheduling in the past (at < now) or with stamp > at panics.
 func (e *Engine) ScheduleStampedAt(at, stamp Time, fn Event) {
@@ -363,11 +367,13 @@ func (e *Engine) Stopped() bool { return e.stopped }
 // buckets included — and every Recurring built on the engine is parked
 // (inactive, nothing queued), so a reused engine can neither fire stale
 // events nor be wedged by a Recurring that still believes its tick is in
-// flight. It is the only way to reuse an engine after Stop.
+// flight. It is the only way to reuse an engine after Stop. A registered
+// barrier survives: it belongs to the model's structure, not to a run.
 func (e *Engine) Reset() {
 	e.now = 0
 	e.seq = 0
 	e.stopped = false
+	e.windows = 0
 	e.Executed = 0
 	e.IdleElided = 0
 	e.occHist = [occBuckets]uint64{}
@@ -399,7 +405,8 @@ func (e *Engine) Reset() {
 }
 
 // Step fires the single next event, advancing time to it. It reports false
-// when the queue is empty.
+// when the queue is empty. Step ignores the window barrier: an engine with
+// one is driven through Run, RunTo or RunUntil.
 func (e *Engine) Step() bool {
 	if e.stopped {
 		return false
@@ -464,10 +471,70 @@ func (e *Engine) WheelOccupancy() (buckets [occBuckets]uint64, count, sum uint64
 	return e.occHist, e.occObs, e.occSum
 }
 
+// SetBarrier registers a window barrier: Run, RunTo and RunUntil then
+// execute in windows of at most window cycles and call flush with the
+// window's last cycle after every window. A model whose cross-component
+// interactions take at least window cycles to land (the mesh NoC's
+// Lookahead) captures them during the window and routes them in flush, in
+// an order of its own choosing, scheduling the results with
+// ScheduleStampedAt; anything flush schedules must land after limit.
+// captured reports the time of the earliest interaction captured and not
+// yet flushed (MaxTime when there is none). A window opens at the earliest
+// pending event or captured interaction, so idle stretches cost nothing
+// and work captured outside any event (a send issued before Run) is still
+// flushed. An engine holds at most one barrier, and Reset keeps it.
+func (e *Engine) SetBarrier(window Time, captured func() Time, flush func(limit Time)) {
+	if window < 1 {
+		panic("sim: barrier window must be at least one cycle")
+	}
+	if e.flush != nil {
+		panic("sim: engine already has a barrier")
+	}
+	e.window, e.captured, e.flush = window, captured, flush
+}
+
+// Windows reports how many barrier windows have executed since the last
+// Reset (always zero without a barrier).
+func (e *Engine) Windows() uint64 { return e.windows }
+
+// windowStart returns where the next barrier window opens, or MaxTime
+// when nothing is pending or captured.
+func (e *Engine) windowStart() Time {
+	return min(e.peekTime(), e.captured())
+}
+
+// windowEnd returns the last cycle of a barrier window opening at start,
+// saturating at MaxTime.
+func (e *Engine) windowEnd(start Time) Time {
+	end := start + e.window - 1
+	if end < start {
+		return MaxTime
+	}
+	return end
+}
+
+// runWindow fires the events of one barrier window, through limit, then
+// flushes it.
+func (e *Engine) runWindow(limit Time) {
+	e.runTo(limit)
+	e.flush(limit)
+	e.windows++
+}
+
 // Run fires events until the queue drains or Stop is called. It returns the
-// final simulation time.
+// final simulation time: the cycle of the last fired event.
 func (e *Engine) Run() Time {
-	for e.Step() {
+	if e.flush == nil {
+		for e.Step() {
+		}
+		return e.now
+	}
+	for !e.stopped {
+		start := e.windowStart()
+		if start == MaxTime {
+			break
+		}
+		e.runWindow(e.windowEnd(start))
 	}
 	return e.now
 }
@@ -478,21 +545,11 @@ func (e *Engine) Run() Time {
 // nothing further (see Stop). It returns true if the queue drained (no
 // work remains at or before any time).
 func (e *Engine) RunUntil(limit Time) bool {
-	for !e.stopped {
-		t := e.peekTime()
-		if t == MaxTime {
-			break
-		}
-		if t > limit {
-			e.now = limit
-			return false
-		}
-		e.Step()
-	}
+	drained := e.RunTo(limit)
 	if !e.stopped && e.now < limit {
 		e.now = limit
 	}
-	return e.Pending() == 0
+	return drained
 }
 
 // RunTo fires events with timestamps <= limit like RunUntil, except that
@@ -500,9 +557,31 @@ func (e *Engine) RunUntil(limit Time) bool {
 // instead of advancing to limit. Observers that sample the model at a
 // fixed cadence from outside the event loop use it so the final partial
 // epoch cannot inflate a run's end time: interleaving RunTo calls with
-// snapshots fires exactly the same events at the same times as one Run.
-// It returns true if the queue drained.
+// snapshots fires exactly the same events at the same times as one Run
+// (with a barrier too — a window that would straddle limit is cut there,
+// and a flush never schedules inside the window it closes). It returns
+// true if the queue drained.
 func (e *Engine) RunTo(limit Time) bool {
+	if e.flush == nil {
+		return e.runTo(limit)
+	}
+	for !e.stopped {
+		start := e.windowStart()
+		if start == MaxTime || start > limit {
+			break
+		}
+		e.runWindow(min(e.windowEnd(start), limit))
+	}
+	drained := e.Pending() == 0
+	if !drained && !e.stopped {
+		e.now = limit
+	}
+	return drained
+}
+
+// runTo is RunTo without the barrier: it fires events through limit and
+// leaves the clock at limit while work remains beyond it.
+func (e *Engine) runTo(limit Time) bool {
 	for !e.stopped {
 		t := e.peekTime()
 		if t == MaxTime {

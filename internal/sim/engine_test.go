@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -325,4 +326,83 @@ func TestRecurringCancelAndRestart(t *testing.T) {
 		}
 	}()
 	r.Start(1)
+}
+
+// TestScheduleStampedAtOrdering pins the stamp contract: a back-dated
+// event fires before same-cycle events scheduled after its stamp, even
+// though it was enqueued last.
+func TestScheduleStampedAtOrdering(t *testing.T) {
+	e := NewEngine()
+	var order []string
+	e.ScheduleAt(5, func() { order = append(order, "stamp5") })                             // stamp 0
+	e.ScheduleAt(2, func() { e.ScheduleAt(5, func() { order = append(order, "stamp2") }) }) // stamp 2
+	e.ScheduleStampedAt(5, 1, func() { order = append(order, "stamp1") })
+	e.Run()
+	want := "[stamp5 stamp1 stamp2]"
+	if got := fmt.Sprint(order); got != want {
+		t.Fatalf("stamped ordering: got %v want %v", got, want)
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("stamp after event time should panic")
+		}
+	}()
+	e.ScheduleStampedAt(6, 7, func() {})
+}
+
+// TestResetClearsRecurringSleepWake is the engine-reuse regression test:
+// after Reset, a Recurring from the previous life must be fully parked —
+// no stale tick fires, and restarting it must work (including being
+// parked again by a second Reset), so a pooled engine can never lose or
+// leak a wakeup across reuses.
+func TestResetClearsRecurringSleepWake(t *testing.T) {
+	e := NewEngine()
+	fired := 0
+	r := e.NewRecurring(3, func() bool { fired++; return fired < 10 })
+	r.Start(1)
+	for i := 0; i < 4; i++ {
+		e.Step()
+	}
+	if fired == 0 || !r.Active() {
+		t.Fatalf("setup: fired=%d active=%v", fired, r.Active())
+	}
+
+	// Reset with the next tick queued: the series must be parked with
+	// nothing pending, and the stale tick must never fire.
+	e.Reset()
+	if r.Active() {
+		t.Fatal("Reset left the recurring active")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Reset left %d events pending", e.Pending())
+	}
+	was := fired
+	e.ScheduleAt(100, func() {})
+	e.Run()
+	if fired != was {
+		t.Fatal("stale tick fired after Reset")
+	}
+
+	// Reuse: waking the parked series must re-arm it from scratch (a
+	// stale queued flag would swallow this wake), and a second Reset must
+	// park it again even though the first Reset dropped it from the
+	// tracking list.
+	e.Reset()
+	fired = 0
+	r.WakeAt(5)
+	e.Run()
+	if fired == 0 {
+		t.Fatal("wake after Reset was lost")
+	}
+	e.Reset()
+	if r.Active() || e.Pending() != 0 {
+		t.Fatalf("second Reset failed to park: active=%v pending=%d", r.Active(), e.Pending())
+	}
+	fired = 0
+	r.Start(2)
+	e.Run()
+	if fired == 0 {
+		t.Fatal("restart after second Reset fired nothing")
+	}
 }
