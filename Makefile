@@ -57,7 +57,9 @@ bench:
 # benchcmp: the local performance gate. Re-runs the benchmarks into a
 # scratch report (no wall-clock run, so it is much faster than `make
 # bench`) and diffs it against the tracked baseline; fails past a
-# BENCH_THRESHOLD per-benchmark ns/op or allocs/op regression. Run it on
+# BENCH_THRESHOLD per-benchmark ns/op or allocs/op regression. Without a
+# wall-clock run the figure digest is not compared (benchjson says so);
+# tier 1's TestFigureDigestsMatchGolden gates figure bytes. Run it on
 # a quiet machine — 1x macro iterations are noisy, so treat a small
 # flagged delta as a prompt to re-run, not as ground truth.
 benchcmp:

@@ -1,6 +1,7 @@
 package nearstream
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ir"
@@ -70,6 +71,23 @@ func TestFigureUnknownID(t *testing.T) {
 	}
 	if _, err := NewExperiment(DefaultConfig()).Figure("99", nil); err == nil {
 		t.Fatal("unknown figure accepted by Experiment")
+	}
+}
+
+// TestRunWorkloadUnknownName checks that a bad workload name comes back
+// as an error, not a panic out of the workload registry.
+func TestRunWorkloadUnknownName(t *testing.T) {
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatalf("RunWorkload panicked: %v", r)
+		}
+	}()
+	res, err := RunWorkload("nope", NS, DefaultConfig())
+	if err == nil || res != nil {
+		t.Fatalf("RunWorkload(\"nope\") = %v, %v; want an error", res, err)
+	}
+	if !strings.Contains(err.Error(), "nope") {
+		t.Fatalf("error %q does not name the workload", err)
 	}
 }
 

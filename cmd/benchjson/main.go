@@ -262,7 +262,9 @@ func loadReport(path string) (*Report, error) {
 // compareReports prints per-benchmark deltas between two baselines and
 // reports whether the new one passes: every shared benchmark's ns/op and
 // allocs/op must stay within threshold× the old value, and the recorded
-// figure digests (when both runs have one) must match byte-for-byte.
+// figure digests must match byte-for-byte when both runs have one (a
+// report without a wall-clock run, like `make benchcmp`'s, skips the
+// digest comparison and says so).
 // Improvements never fail, and benchmarks present in only one report are
 // listed but not gated — a renamed benchmark should not block a change.
 func compareReports(oldPath, newPath string, threshold float64) bool {
@@ -317,6 +319,8 @@ func compareReports(oldPath, newPath string, threshold float64) bool {
 			fmt.Printf("DIGEST MISMATCH: output sha256 %s -> %s\n", ow.OutputSHA256, nw.OutputSHA256)
 			fail++
 		}
+	} else {
+		fmt.Println("benchjson: figure digest not compared (a report has no wall-clock run)")
 	}
 	if fail > 0 {
 		fmt.Printf("benchjson: %d regression(s) past the %.2fx threshold\n", fail, threshold)

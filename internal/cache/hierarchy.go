@@ -8,7 +8,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Level identifies where a request was served, for miss-rate stats and the
@@ -96,9 +95,9 @@ type Hierarchy struct {
 	ctrlNodes []int
 	tiles     []*Tile
 	banks     []*Bank
-	// reg/ctr hold the interned counters; tracer and attrib (usually nil)
-	// are the observability hooks every tile and bank reports to.
-	reg    *obs.Registry
+	// ctr holds the counters interned in the machine's registry; tracer
+	// and attrib (usually nil) are the observability hooks every tile and
+	// bank reports to.
 	ctr    hierCounters
 	tracer *obs.Tracer
 	attrib *obs.Attribution
@@ -107,8 +106,9 @@ type Hierarchy struct {
 	PrefetchHook func(tile int, addr uint64, pc uint64, hit bool)
 }
 
-// New builds the hierarchy for every node of the mesh.
-func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hierarchy {
+// New builds the hierarchy for every node of the mesh, interning its
+// counters in reg.
+func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config, reg *obs.Registry) *Hierarchy {
 	n := net.Nodes()
 	h := &Hierarchy{
 		cfg:       cfg,
@@ -116,24 +116,23 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 		net:       net,
 		dram:      dram,
 		ctrlNodes: mem.CornerNodes(net.Config().Width, net.Config().Height, dram.Config().Controllers),
-		reg:       obs.NewRegistry(),
 	}
 	h.ctr = hierCounters{
-		l1Hits:          h.reg.Counter("l1.hits"),
-		l1Misses:        h.reg.Counter("l1.misses"),
-		l2Hits:          h.reg.Counter("l2.hits"),
-		l2Misses:        h.reg.Counter("l2.misses"),
-		l2Upgrades:      h.reg.Counter("l2.upgrades"),
-		l2Writebacks:    h.reg.Counter("l2.writebacks"),
-		l3Hits:          h.reg.Counter("l3.hits"),
-		l3Misses:        h.reg.Counter("l3.misses"),
-		l3Recalls:       h.reg.Counter("l3.recalls"),
-		l3Writebacks:    h.reg.Counter("l3.writebacks"),
-		l3Downgrades:    h.reg.Counter("l3.downgrades"),
-		l3Invalidations: h.reg.Counter("l3.invalidations"),
-		prefetchIssued:  h.reg.Counter("prefetch.issued"),
-		lockAcquires:    h.reg.Counter("lock.acquires"),
-		lockConflicts:   h.reg.Counter("lock.conflicts"),
+		l1Hits:          reg.Counter("l1.hits"),
+		l1Misses:        reg.Counter("l1.misses"),
+		l2Hits:          reg.Counter("l2.hits"),
+		l2Misses:        reg.Counter("l2.misses"),
+		l2Upgrades:      reg.Counter("l2.upgrades"),
+		l2Writebacks:    reg.Counter("l2.writebacks"),
+		l3Hits:          reg.Counter("l3.hits"),
+		l3Misses:        reg.Counter("l3.misses"),
+		l3Recalls:       reg.Counter("l3.recalls"),
+		l3Writebacks:    reg.Counter("l3.writebacks"),
+		l3Downgrades:    reg.Counter("l3.downgrades"),
+		l3Invalidations: reg.Counter("l3.invalidations"),
+		prefetchIssued:  reg.Counter("prefetch.issued"),
+		lockAcquires:    reg.Counter("lock.acquires"),
+		lockConflicts:   reg.Counter("lock.conflicts"),
 	}
 	for i := 0; i < n; i++ {
 		h.tiles = append(h.tiles, &Tile{
@@ -159,8 +158,9 @@ func New(engine *sim.Engine, net *noc.Network, dram *mem.Memory, cfg Config) *Hi
 func (h *Hierarchy) Config() Config { return h.cfg }
 
 // Reset returns every tile and bank to its just-built state: cold arrays
-// with replaying replacement rngs, empty MSHR/txn/lock tables, zeroed
-// counters, detached tracer and attribution.
+// with replaying replacement rngs, empty MSHR/txn/lock tables, detached
+// tracer and attribution. Its counters live in the machine's registry,
+// which the machine zeroes.
 // After a completed run the MSHR and transaction tables are empty anyway;
 // clearing them is defensive against an aborted run leaking work into
 // the next job.
@@ -178,18 +178,9 @@ func (h *Hierarchy) Reset() {
 		b.lockPool = b.lockPool[:0]
 		b.lockFree = b.lockFree[:0]
 	}
-	h.reg.Reset()
 	h.tracer = nil
 	h.attrib = nil
 	h.PrefetchHook = nil
-}
-
-// Stats snapshots the hierarchy's counters as a stats set (the export and
-// test surface; hot-path counting happens on interned registry slots).
-func (h *Hierarchy) Stats() *stats.Set {
-	s := stats.NewSet()
-	h.reg.ExportTo(s.Add)
-	return s
 }
 
 // SetTracer attaches (or detaches, with nil) an event tracer.
@@ -389,16 +380,16 @@ func (t *Tile) requestLine(line uint64, kind reqKind, onDone func(Level)) {
 	}
 	bank := h.banks[h.HomeBank(line)]
 	h.net.Send(&noc.Message{
-		Src: t.id, Dst: bank.id, Bytes: CtrlBytes, Class: stats.TrafficControl,
+		Src: t.id, Dst: bank.id, Bytes: CtrlBytes, Class: noc.TrafficControl,
 		OnDeliver: func() {
 			bank.handleCoherence(line, kind, t.id, func(grant LineState, fromMem bool) {
 				respBytes := LineBytes
 				if kind == reqUpgrade {
 					respBytes = CtrlBytes
 				}
-				class := stats.TrafficData
+				class := noc.TrafficData
 				if kind == reqUpgrade {
-					class = stats.TrafficControl
+					class = noc.TrafficControl
 				}
 				h.net.Send(&noc.Message{
 					Src: bank.id, Dst: t.id, Bytes: respBytes, Class: class,
@@ -502,7 +493,7 @@ func (t *Tile) HasLine(line uint64) bool {
 func (h *Hierarchy) sendWriteback(from int, line uint64) {
 	bank := h.banks[h.HomeBank(line)]
 	h.net.Send(&noc.Message{
-		Src: from, Dst: bank.id, Bytes: LineBytes, Class: stats.TrafficData,
+		Src: from, Dst: bank.id, Bytes: LineBytes, Class: noc.TrafficData,
 		OnDeliver: func() { bank.handleWriteback(line, from) },
 	})
 }

@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -12,17 +13,18 @@ import (
 // force evictions cheaply.
 func testMachine() (*sim.Engine, *Hierarchy) {
 	e := sim.NewEngine()
+	reg := obs.NewRegistry()
 	ncfg := noc.DefaultConfig()
 	ncfg.Width, ncfg.Height = 2, 2
-	net := noc.New(e, ncfg)
-	dram := mem.New(e, mem.DefaultConfig())
+	net := noc.New(e, ncfg, reg)
+	dram := mem.New(e, mem.DefaultConfig(), reg)
 	cfg := Config{
 		LineBytes: 64,
 		L1:        ArrayConfig{SizeBytes: 1 << 10, Ways: 2, LineBytes: 64, Policy: LRU, Latency: 2},
 		L2:        ArrayConfig{SizeBytes: 4 << 10, Ways: 4, LineBytes: 64, Policy: LRU, Latency: 16},
 		L3Bank:    ArrayConfig{SizeBytes: 16 << 10, Ways: 4, LineBytes: 64, Policy: LRU, Latency: 20},
 	}
-	return e, New(e, net, dram, cfg)
+	return e, New(e, net, dram, cfg, reg)
 }
 
 // access runs one blocking access and returns the serving level and elapsed
@@ -79,12 +81,12 @@ func TestExclusiveGrantOnSoleReader(t *testing.T) {
 		t.Fatalf("sole reader got %v, want E", l)
 	}
 	// Silent E->M upgrade on write, no extra coherence traffic.
-	before := h.Stats().Get("l3.invalidations")
+	before := h.ctr.l3Invalidations.Get()
 	lv, _ := access(e, h, 0, 0x1000, true)
 	if lv != ServedL1 {
 		t.Fatalf("write to E line served at %v, want L1", lv)
 	}
-	if h.Stats().Get("l3.invalidations") != before {
+	if h.ctr.l3Invalidations.Get() != before {
 		t.Fatal("E->M upgrade generated invalidations")
 	}
 }
@@ -156,7 +158,7 @@ func TestUpgradeFromShared(t *testing.T) {
 	if h.Tile(1).HasLine(0x1000) {
 		t.Fatal("other sharer survived the upgrade")
 	}
-	if h.Stats().Get("l2.upgrades") == 0 {
+	if h.ctr.l2Upgrades.Get() == 0 {
 		t.Fatal("upgrade path not taken")
 	}
 }
@@ -215,14 +217,14 @@ func TestMSHRMergesSameLineMisses(t *testing.T) {
 	done := 0
 	h.Tile(0).Access(0x2000, false, 0, func(Level) { done++ })
 	h.Tile(0).Access(0x2040-0x20, false, 0, func(Level) { done++ }) // same line
-	before := h.Stats().Get("l3.misses")
+	before := h.ctr.l3Misses.Get()
 	_ = before
 	e.Run()
 	if done != 2 {
 		t.Fatalf("completed %d accesses, want 2", done)
 	}
-	if h.Stats().Get("l3.misses") != 1 {
-		t.Fatalf("l3 misses = %d, want 1 (merged)", h.Stats().Get("l3.misses"))
+	if h.ctr.l3Misses.Get() != 1 {
+		t.Fatalf("l3 misses = %d, want 1 (merged)", h.ctr.l3Misses.Get())
 	}
 }
 
@@ -236,7 +238,7 @@ func TestEvictionWritesBack(t *testing.T) {
 	for i := uint64(1); i <= 8; i++ {
 		access(e, h, 0, i*1024, false)
 	}
-	if h.Stats().Get("l2.writebacks") == 0 {
+	if h.ctr.l2Writebacks.Get() == 0 {
 		t.Fatal("dirty eviction produced no writeback")
 	}
 	// The bank's copy must have the data (dirty bit set at L3).

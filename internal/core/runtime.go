@@ -13,7 +13,6 @@ import (
 	"repro/internal/noc"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // streamMode is how the runtime executes one stream under the selected
@@ -43,7 +42,7 @@ type RunResult struct {
 	Cycles       sim.Time
 	DynOps       map[compiler.Category]uint64
 	OffloadedOps uint64
-	Stats        *stats.Set
+	Stats        obs.Snapshot
 	// Accs are the per-core reduction results (validation).
 	Accs []map[string]uint64
 	// Plan is the compiled plan (nil for Base).

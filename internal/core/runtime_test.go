@@ -1,14 +1,13 @@
 package core
 
 import (
+	"maps"
 	"testing"
 
 	"repro/internal/ir"
 	"repro/internal/machine"
-	"repro/internal/stats"
+	"repro/internal/obs"
 )
-
-var _ = stats.NewSet // used by runWarm
 
 // testMachine builds a small 4×4 machine with scaled-down caches (so the
 // §IV-B footprint-based offload policy fires on test-sized arrays) and the
@@ -124,14 +123,48 @@ func runWarm(t *testing.T, sys System, k *ir.Kernel, fill func(*machine.Machine,
 	if err != nil {
 		t.Fatalf("%v: %v", sys, err)
 	}
-	after := res.Stats
-	delta := stats.NewSet()
-	for _, name := range after.Names() {
-		delta.Add(name, after.Get(name)-before.Get(name))
+	delta := obs.Snapshot{}
+	for name, v := range res.Stats {
+		delta[name] = v - before.Get(name)
 	}
 	res.Stats = delta
 	res.Cycles = res.Cycles - startCycle
 	return res
+}
+
+// TestRunResultStatsFrozen checks that RunResult.Stats is a snapshot the
+// machine's later runs and Reset cannot change: runWarm and the runner
+// read a result after the machine has moved on, and a pooled machine's
+// next job must not rewrite a result already handed out.
+func TestRunResultStatsFrozen(t *testing.T) {
+	const n = 1 << 12
+	k := reduceKernel(n)
+	m := testMachine(NS)
+	d := setupData(m, k)
+	fillSeq(d, "A", n)
+	p := DefaultParams(m.Tiles())
+	first, err := Run(m, k, NS, p, nil, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := maps.Clone(first.Stats)
+	if len(want) == 0 {
+		t.Fatal("first run counted nothing")
+	}
+	second, err := Run(m, k, NS, p, nil, d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if maps.Equal(second.Stats, want) {
+		t.Fatal("second run left every counter unchanged; the check below would prove nothing")
+	}
+	if !maps.Equal(first.Stats, want) {
+		t.Fatalf("first run's stats changed after a second run:\n got %v\nwant %v", first.Stats, want)
+	}
+	m.Reset()
+	if !maps.Equal(first.Stats, want) {
+		t.Fatalf("first run's stats changed after Reset:\n got %v\nwant %v", first.Stats, want)
+	}
 }
 
 const testN = 1 << 16 // 64k × 8B = 32 KB per core-partition — exceeds the 16 KB test L2
@@ -407,5 +440,4 @@ func TestTrafficClassesPopulated(t *testing.T) {
 	if base.Stats.Get("noc.bytehops.offloaded") != 0 {
 		t.Fatal("Base produced offload traffic")
 	}
-	_ = stats.TrafficData
 }

@@ -7,7 +7,7 @@
 package energy
 
 import (
-	"repro/internal/stats"
+	"repro/internal/obs"
 )
 
 // Coefficients are per-event energies in picojoules and leakage in
@@ -65,7 +65,7 @@ func (b Breakdown) Total() float64 {
 
 // Estimate computes the energy of one run from its statistics. ops is the
 // total retired micro-op count; cycles the runtime.
-func Estimate(c Coefficients, s *stats.Set, ops uint64, cycles uint64) Breakdown {
+func Estimate(c Coefficients, s obs.Snapshot, ops uint64, cycles uint64) Breakdown {
 	pj := func(v float64) float64 { return v * 1e-12 }
 	var b Breakdown
 	b.Core = pj(c.CoreOpPJ * float64(ops))

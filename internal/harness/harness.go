@@ -6,12 +6,12 @@ package harness
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/machine"
 	"repro/internal/runner"
-	"repro/internal/stats"
 	"repro/internal/workloads"
 )
 
@@ -58,11 +58,12 @@ func MachineConfig(cfg Config, prefetchers bool) machine.Config {
 // Result is one (workload, system) measurement.
 type Result = runner.Result
 
-// RunOne simulates one workload on one system. It is the serial,
-// uncached entry point; figure rendering goes through an Exp's memoizing
-// pool instead.
+// RunOne simulates one workload on one system through a private
+// one-worker pool, so a bad job (e.g. an unknown workload name) returns
+// an error instead of panicking. Figure rendering goes through an Exp's
+// shared memoizing pool instead.
 func RunOne(wname string, sys core.System, cfg Config) (*Result, error) {
-	return runner.Execute(cfg.Job(wname, sys))
+	return runner.NewPool(1).RunOne(cfg.Job(wname, sys))
 }
 
 // Table is a rendered experiment: named rows × named columns of values.
@@ -130,10 +131,18 @@ func (t *Table) Cell(row, col string) (float64, bool) {
 	return 0, false
 }
 
-// geoMean of positive values; 0 when empty.
+// geoMean returns the geometric mean of xs, the aggregate the paper uses
+// for cross-workload speedups; 0 when empty. Non-positive inputs panic.
 func geoMean(xs []float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	return stats.GeoMean(xs)
+	logSum := 0.0
+	for _, x := range xs {
+		if x <= 0 {
+			panic(fmt.Sprintf("harness: geoMean of non-positive value %v", x))
+		}
+		logSum += math.Log(x)
+	}
+	return math.Exp(logSum / float64(len(xs)))
 }

@@ -9,11 +9,11 @@ import (
 )
 
 // driveMachine runs a deterministic access script through a machine's full
-// stack — tiles, coherence, NoC, DRAM — and returns the merged stats plus
+// stack — tiles, coherence, NoC, DRAM — and returns the counter snapshot plus
 // the final clock. Each tile issues a mix of strided private lines and
 // contended shared lines, so the script generates request/response
 // messages, invalidation multicasts, writebacks and DRAM bursts.
-func driveMachine(t *testing.T, m *Machine) (map[string]uint64, sim.Time) {
+func driveMachine(t *testing.T, m *Machine) (obs.Snapshot, sim.Time) {
 	t.Helper()
 	done, want := 0, 0
 	for tile := 0; tile < m.Tiles(); tile++ {
@@ -36,12 +36,7 @@ func driveMachine(t *testing.T, m *Machine) (map[string]uint64, sim.Time) {
 	if done != want {
 		t.Fatalf("%d/%d accesses completed", done, want)
 	}
-	s := m.CollectStats()
-	out := make(map[string]uint64)
-	for _, name := range s.Names() {
-		out[name] = s.Get(name)
-	}
-	return out, m.Now()
+	return m.CollectStats(), m.Now()
 }
 
 // TestResetReplaysRun is the machine-level Reset oracle: the script run

@@ -1,8 +1,9 @@
 // Package machine assembles the full simulated system of Table V: the
 // event engine, the W×H mesh, the DRAM controllers, the three-level cache
-// hierarchy with directory coherence, per-tile TLBs, and the address space
-// with huge-page support. The near-stream runtime (internal/core) and the
-// experiment harness build on a Machine.
+// hierarchy with directory coherence, the address space with huge-page
+// support, and the one counter registry every component counts into. The
+// near-stream runtime (internal/core) and the experiment harness build on
+// a Machine.
 package machine
 
 import (
@@ -13,7 +14,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/prefetch"
 	"repro/internal/sim"
-	"repro/internal/stats"
 	"repro/internal/tlb"
 )
 
@@ -76,19 +76,15 @@ func CI() Config {
 // engine (see noc.Network.flush), so the machine runs in Lookahead-cycle
 // windows with cross-node messages routed at each window's end.
 type Machine struct {
-	Cfg    Config
-	Engine *sim.Engine
-	Net    *noc.Network
-	Dram   *mem.Memory
-	Hier   *cache.Hierarchy
-	AS     *tlb.AddressSpace
-	// TLBs are the per-tile L2 TLBs (2k-entry, Table V); SE_L3 TLBs are
-	// separate 1k-entry ones.
-	TLBs    []*tlb.TLB
-	SETLBs  []*tlb.TLB
+	Cfg     Config
+	Engine  *sim.Engine
+	Net     *noc.Network
+	Dram    *mem.Memory
+	Hier    *cache.Hierarchy
+	AS      *tlb.AddressSpace
 	PFUnits []*prefetch.Unit
-	Stats   *stats.Set
-	// Obs interns runtime counters (the core layer's registry); Tracer and
+	// Obs is the machine's only counter registry: the NoC, DRAM, caches
+	// and the core layer all intern their counters in it. Tracer and
 	// Sampler are the machine-wide observability hooks, nil unless a run
 	// opts in via SetTracer / an attached sampler.
 	Obs     *obs.Registry
@@ -121,9 +117,10 @@ func Normalize(cfg Config) Config {
 func New(cfg Config) *Machine {
 	cfg = Normalize(cfg)
 	engine := sim.NewEngine()
-	net := noc.New(engine, cfg.NoC)
-	dram := mem.New(engine, cfg.Mem)
-	hier := cache.New(engine, net, dram, cfg.Cache)
+	reg := obs.NewRegistry()
+	net := noc.New(engine, cfg.NoC, reg)
+	dram := mem.New(engine, cfg.Mem, reg)
+	hier := cache.New(engine, net, dram, cfg.Cache, reg)
 	m := &Machine{
 		Cfg:    cfg,
 		Engine: engine,
@@ -131,16 +128,7 @@ func New(cfg Config) *Machine {
 		Dram:   dram,
 		Hier:   hier,
 		AS:     tlb.NewAddressSpace(cfg.UseHugePages, cfg.Seed),
-		Stats:  stats.NewSet(),
-		Obs:    obs.NewRegistry(),
-	}
-	for i := 0; i < net.Nodes(); i++ {
-		m.TLBs = append(m.TLBs, tlb.New(tlb.Config{
-			Entries: 2048, Ways: 16, HitLatency: 1, WalkLatency: 30,
-		}))
-		m.SETLBs = append(m.SETLBs, tlb.New(tlb.Config{
-			Entries: 1024, Ways: 16, HitLatency: 8, WalkLatency: 30,
-		}))
+		Obs:    reg,
 	}
 	if cfg.EnablePrefetchers {
 		for i := 0; i < net.Nodes(); i++ {
@@ -154,9 +142,9 @@ func New(cfg Config) *Machine {
 }
 
 // Reset returns the machine to its just-built state so a pooled machine
-// can run another job: engines rewound, links and buses idle, caches and
-// TLBs cold with their replacement rngs replaying from the seed, the
-// address space forgetting every mapping, all counters zeroed, tracers
+// can run another job: engines rewound, links and buses idle, caches
+// cold with their replacement rngs replaying from the seed, the address
+// space forgetting every mapping, the registry's counters zeroed, tracers
 // and sampler detached. The Reset contract is observational equivalence
 // to New(m.Cfg) — a job run on a Reset machine must produce bit-identical
 // results — which holds because every piece of run state is either
@@ -170,13 +158,6 @@ func (m *Machine) Reset() {
 	m.Dram.Reset()
 	m.Hier.Reset()
 	m.AS.Reset()
-	for _, t := range m.TLBs {
-		t.Reset()
-	}
-	for _, t := range m.SETLBs {
-		t.Reset()
-	}
-	m.Stats.Reset()
 	m.Obs.Reset()
 	for _, u := range m.PFUnits {
 		u.Reset()
@@ -287,29 +268,14 @@ func (m *Machine) Tiles() int { return m.Net.Nodes() }
 // Cores returns the worker-core count.
 func (m *Machine) Cores() int { return m.Cfg.Cores }
 
-// Translate maps a virtual to a physical address (functional; the TLB
-// latency models charge their own cycles).
+// Translate maps a virtual to a physical address (functional: core-side
+// TLB latency is not modelled; the SE_L3 charges its own page-cache
+// misses).
 func (m *Machine) Translate(va uint64) uint64 { return m.AS.Translate(va) }
 
 // HomeBank returns the L3 bank of a virtual address.
 func (m *Machine) HomeBank(va uint64) int { return m.Hier.HomeBank(m.Translate(va)) }
 
-// CollectStats merges every component's counters into one set.
-func (m *Machine) CollectStats() *stats.Set {
-	out := stats.NewSet()
-	out.Merge(m.Stats)
-	m.Obs.ExportTo(out.Add)
-	out.Merge(m.Hier.Stats())
-	out.Merge(m.Dram.Stats())
-	for _, t := range m.TLBs {
-		out.Merge(t.Stats)
-	}
-	for _, t := range m.SETLBs {
-		out.Merge(t.Stats)
-	}
-	out.Merge(m.Net.Stats())
-	out.Add("noc.bytehops.data", m.Net.Traffic.ByteHops(stats.TrafficData))
-	out.Add("noc.bytehops.control", m.Net.Traffic.ByteHops(stats.TrafficControl))
-	out.Add("noc.bytehops.offloaded", m.Net.Traffic.ByteHops(stats.TrafficOffload))
-	return out
-}
+// CollectStats returns a frozen snapshot of the machine's counters; the
+// machine's next run or Reset does not change it.
+func (m *Machine) CollectStats() obs.Snapshot { return m.Obs.Snapshot() }

@@ -27,9 +27,6 @@ func TestNewAssemblesEverything(t *testing.T) {
 	if m.Tiles() != 16 || m.Cores() != 16 {
 		t.Fatalf("tiles=%d cores=%d", m.Tiles(), m.Cores())
 	}
-	if len(m.TLBs) != 16 || len(m.SETLBs) != 16 {
-		t.Fatal("per-tile TLBs missing")
-	}
 	if m.Hier.Tiles() != 16 {
 		t.Fatal("hierarchy size mismatch")
 	}
@@ -71,6 +68,9 @@ func TestCollectStatsMergesTraffic(t *testing.T) {
 	}
 	if s.Get("l3.misses") == 0 {
 		t.Fatal("CollectStats lost the hierarchy counters")
+	}
+	if s.Get("dram.reads") == 0 {
+		t.Fatal("CollectStats lost the DRAM counters")
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Config describes the memory system.
@@ -51,16 +50,16 @@ type Memory struct {
 	engine *sim.Engine
 	// nextFree is the earliest cycle each controller's data bus is idle.
 	nextFree []sim.Time
-	// reg holds the interned counters; tracer and attrib (usually nil)
-	// receive every controller's bursts and queue-wait charges.
-	reg                           *obs.Registry
+	// The counters are interned in the machine's registry; tracer and
+	// attrib (usually nil) receive every controller's bursts and
+	// queue-wait charges.
 	ctrReads, ctrWrites, ctrBytes obs.Counter
 	tracer                        *obs.Tracer
 	attrib                        *obs.Attribution
 }
 
-// New builds the memory system.
-func New(engine *sim.Engine, cfg Config) *Memory {
+// New builds the memory system, interning its counters in reg.
+func New(engine *sim.Engine, cfg Config, reg *obs.Registry) *Memory {
 	if cfg.Controllers <= 0 {
 		panic("mem: need at least one controller")
 	}
@@ -70,32 +69,23 @@ func New(engine *sim.Engine, cfg Config) *Memory {
 	if cfg.InterleaveBytes == 0 {
 		panic("mem: interleave must be positive")
 	}
-	m := &Memory{
-		cfg:      cfg,
-		engine:   engine,
-		nextFree: make([]sim.Time, cfg.Controllers),
-		reg:      obs.NewRegistry(),
+	return &Memory{
+		cfg:       cfg,
+		engine:    engine,
+		nextFree:  make([]sim.Time, cfg.Controllers),
+		ctrReads:  reg.Counter("dram.reads"),
+		ctrWrites: reg.Counter("dram.writes"),
+		ctrBytes:  reg.Counter("dram.bytes"),
 	}
-	m.ctrReads = m.reg.Counter("dram.reads")
-	m.ctrWrites = m.reg.Counter("dram.writes")
-	m.ctrBytes = m.reg.Counter("dram.bytes")
-	return m
 }
 
 // Reset returns the memory system to its just-built state: idle buses,
-// zero counters, no tracer or attribution.
+// no tracer or attribution. Its counters live in the machine's registry,
+// which the machine zeroes.
 func (m *Memory) Reset() {
 	clear(m.nextFree)
-	m.reg.Reset()
 	m.tracer = nil
 	m.attrib = nil
-}
-
-// Stats snapshots the memory counters as a stats set.
-func (m *Memory) Stats() *stats.Set {
-	s := stats.NewSet()
-	m.reg.ExportTo(s.Add)
-	return s
 }
 
 // SetTracer attaches (or detaches, with nil) an event tracer.

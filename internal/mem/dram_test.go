@@ -3,12 +3,13 @@ package mem
 import (
 	"testing"
 
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
 func TestControllerInterleave(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, DefaultConfig())
+	m := New(e, DefaultConfig(), obs.NewRegistry())
 	if m.ControllerFor(0) != 0 || m.ControllerFor(64) != 1 || m.ControllerFor(128) != 2 || m.ControllerFor(192) != 3 || m.ControllerFor(256) != 0 {
 		t.Fatal("line interleave across 4 controllers broken")
 	}
@@ -20,7 +21,7 @@ func TestControllerInterleave(t *testing.T) {
 
 func TestAccessLatency(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, DefaultConfig())
+	m := New(e, DefaultConfig(), obs.NewRegistry())
 	var done sim.Time
 	m.Access(0, 64, false, func() { done = e.Now() })
 	e.Run()
@@ -32,7 +33,7 @@ func TestAccessLatency(t *testing.T) {
 
 func TestBandwidthSerialization(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, DefaultConfig())
+	m := New(e, DefaultConfig(), obs.NewRegistry())
 	var times []sim.Time
 	for i := 0; i < 3; i++ {
 		m.Access(0, 64, false, func() { times = append(times, e.Now()) })
@@ -49,7 +50,7 @@ func TestBandwidthSerialization(t *testing.T) {
 
 func TestControllersIndependent(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, DefaultConfig())
+	m := New(e, DefaultConfig(), obs.NewRegistry())
 	var a, b sim.Time
 	m.Access(0, 64, false, func() { a = e.Now() })
 	m.Access(64, 64, false, func() { b = e.Now() })
@@ -61,15 +62,16 @@ func TestControllersIndependent(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, DefaultConfig())
+	reg := obs.NewRegistry()
+	m := New(e, DefaultConfig(), reg)
 	m.Access(0, 64, false, nil)
 	m.Access(64, 64, true, nil)
 	e.Run()
-	if m.Stats().Get("dram.reads") != 1 || m.Stats().Get("dram.writes") != 1 {
-		t.Fatalf("stats wrong: %s", m.Stats())
+	if s := reg.Snapshot(); s.Get("dram.reads") != 1 || s.Get("dram.writes") != 1 {
+		t.Fatalf("stats wrong: %v", s)
 	}
-	if m.Stats().Get("dram.bytes") != 128 {
-		t.Fatalf("bytes = %d", m.Stats().Get("dram.bytes"))
+	if got := reg.Get("dram.bytes"); got != 128 {
+		t.Fatalf("bytes = %d", got)
 	}
 }
 
@@ -85,7 +87,7 @@ func TestCornerNodes(t *testing.T) {
 
 func TestZeroByteAccessPanics(t *testing.T) {
 	e := sim.NewEngine()
-	m := New(e, DefaultConfig())
+	m := New(e, DefaultConfig(), obs.NewRegistry())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("zero-byte access should panic")

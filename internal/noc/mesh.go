@@ -2,7 +2,7 @@
 // dimension-order routing, 256-bit single-cycle links, a multi-stage router
 // pipeline, link contention, and multicast — matching the Garnet
 // configuration of Table V. Every delivered message is charged bytes×hops
-// into a stats.Traffic accumulator, which is the unit Figures 1b, 12 and 15
+// to its class's noc.bytehops.* counter, the unit Figures 1b, 12 and 15
 // report.
 package noc
 
@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Config describes a mesh network.
@@ -53,10 +52,39 @@ type Message struct {
 	Src, Dst int
 	// Bytes is the payload size; the network adds Config.HeaderBytes.
 	Bytes int
-	Class stats.TrafficClass
+	Class TrafficClass
 	// OnDeliver runs at the destination when the message arrives. It may
 	// be nil for fire-and-forget accounting.
 	OnDeliver func()
+}
+
+// TrafficClass labels messages for the Figure 12 breakdown.
+type TrafficClass int
+
+const (
+	// TrafficData is non-offloaded data accesses and writebacks.
+	TrafficData TrafficClass = iota
+	// TrafficControl is coherence and prefetch control messages.
+	TrafficControl
+	// TrafficOffload is near-data data+coordination traffic (credits,
+	// ranges, commits, forwarded stream data, migrations).
+	TrafficOffload
+	numTrafficClasses
+)
+
+// String names the class like the paper's Figure 12 legend; it is also
+// the suffix of the class's noc.bytehops.* counter.
+func (c TrafficClass) String() string {
+	switch c {
+	case TrafficData:
+		return "data"
+	case TrafficControl:
+		return "control"
+	case TrafficOffload:
+		return "offloaded"
+	default:
+		return fmt.Sprintf("class(%d)", int(c))
+	}
 }
 
 // Directed links get dense ids: node*4 + direction. Up to four outgoing
@@ -77,9 +105,8 @@ const (
 // at construction: routing a message is a slice walk with no allocation
 // and no map lookups.
 type Network struct {
-	cfg     Config
-	engine  *sim.Engine
-	Traffic stats.Traffic
+	cfg    Config
+	engine *sim.Engine
 	// nextFree tracks when each directed link can accept the next
 	// message (message-granularity wormhole approximation).
 	nextFree []sim.Time
@@ -105,10 +132,11 @@ type Network struct {
 	horizonEv sim.Event
 	// Delivered counts total messages for sanity checks.
 	Delivered uint64
-	// reg holds the interned message counters; tracer (usually nil)
-	// receives per-message events behind an Enabled() branch.
-	reg                     *obs.Registry
+	// ctrSends/ctrMulticasts/ctrByteHops are interned in the machine's
+	// registry; tracer (usually nil) receives per-message events behind an
+	// Enabled() branch.
 	ctrSends, ctrMulticasts obs.Counter
+	ctrByteHops             [numTrafficClasses]obs.Counter
 	tracer                  *obs.Tracer
 	// attrib (usually nil) receives link-backpressure charges from
 	// deliveryTimeAt.
@@ -126,7 +154,7 @@ type pendingSend struct {
 	seq      uint64   // per-src sequence at the send
 	src, dst int32
 	bytes    int32
-	class    stats.TrafficClass
+	class    TrafficClass
 	// local marks a same-node message already scheduled at capture: the
 	// barrier only does its accounting.
 	local bool
@@ -137,19 +165,22 @@ type pendingSend struct {
 	mfn  func(dst int)
 }
 
-// New builds a network on the given engine and registers the network's
-// window barrier on it (see flush): the engine then runs in windows of
-// Lookahead(cfg) cycles.
-func New(engine *sim.Engine, cfg Config) *Network {
+// New builds a network on the given engine, interns its counters in reg,
+// and registers the network's window barrier on the engine (see flush):
+// the engine then runs in windows of Lookahead(cfg) cycles.
+func New(engine *sim.Engine, cfg Config, reg *obs.Registry) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("noc: mesh dimensions must be positive")
 	}
 	if cfg.LinkBytesPerCycle <= 0 {
 		panic("noc: link width must be positive")
 	}
-	n := &Network{cfg: cfg, engine: engine, reg: obs.NewRegistry()}
-	n.ctrSends = n.reg.Counter("noc.sends")
-	n.ctrMulticasts = n.reg.Counter("noc.multicasts")
+	n := &Network{cfg: cfg, engine: engine}
+	n.ctrSends = reg.Counter("noc.sends")
+	n.ctrMulticasts = reg.Counter("noc.multicasts")
+	for c := range n.ctrByteHops {
+		n.ctrByteHops[c] = reg.Counter("noc.bytehops." + TrafficClass(c).String())
+	}
 	nodes := n.Nodes()
 	n.nextFree = make([]sim.Time, nodes*dirCount)
 	n.busyCycles = make([]uint64, nodes*dirCount)
@@ -191,14 +222,14 @@ func Lookahead(cfg Config) sim.Time {
 	return la
 }
 
-// Reset returns the network to its just-built state: idle links, zero
-// traffic and counters, no pending drain horizon. Precomputed routes and
-// the barrier registration survive — they are functions of the
-// configuration, not of any run. The outbox is normally drained by the
-// final barrier; clearing it here is defensive (an aborted run must not
-// leak sends into the next job).
+// Reset returns the network to its just-built state: idle links, no
+// pending drain horizon. Its counters live in the machine's registry,
+// which the machine zeroes. Precomputed routes and the barrier
+// registration survive — they are functions of the configuration, not of
+// any run. The outbox is normally drained by the final barrier; clearing
+// it here is defensive (an aborted run must not leak sends into the next
+// job).
 func (n *Network) Reset() {
-	n.Traffic.Reset()
 	clear(n.nextFree)
 	clear(n.busyCycles)
 	clear(n.linkSeen)
@@ -206,19 +237,11 @@ func (n *Network) Reset() {
 	n.drainAt = 0
 	n.horizonQd = false
 	n.Delivered = 0
-	n.reg.Reset()
 	n.tracer = nil
 	n.attrib = nil
 	clear(n.sendSeq)
 	clear(n.outbox)
 	n.outbox = n.outbox[:0]
-}
-
-// Stats snapshots the network's interned counters into a stats.Set.
-func (n *Network) Stats() *stats.Set {
-	s := stats.NewSet()
-	n.reg.ExportTo(s.Add)
-	return s
 }
 
 // buildRoutes precomputes the X-Y link-id route of every (src, dst) pair
@@ -427,7 +450,7 @@ func (n *Network) Utilization() float64 {
 // the router multicast support of Table V. OnDeliver (if non-nil) runs once
 // per destination. Routing is deferred to the window barrier like Send's,
 // and a same-node member is delivered like a local Send.
-func (n *Network) Multicast(src int, dsts []int, bytes int, class stats.TrafficClass, onDeliver func(dst int)) {
+func (n *Network) Multicast(src int, dsts []int, bytes int, class TrafficClass, onDeliver func(dst int)) {
 	n.check(src)
 	if len(dsts) == 0 {
 		return
@@ -451,7 +474,7 @@ func (n *Network) Multicast(src int, dsts []int, bytes int, class stats.TrafficC
 // multicastTraffic charges a multicast tree's traffic: links shared by
 // several destinations count once, stamping the scratch array with a
 // fresh epoch instead of building a per-message set.
-func (n *Network) multicastTraffic(src int, dsts []int32, bytes int, class stats.TrafficClass) {
+func (n *Network) multicastTraffic(src int, dsts []int32, bytes int, class TrafficClass) {
 	n.epoch++
 	if n.epoch == 0 { // wrapped: old stamps are ambiguous, clear them
 		clear(n.linkSeen)
@@ -466,7 +489,7 @@ func (n *Network) multicastTraffic(src int, dsts []int32, bytes int, class stats
 			}
 		}
 	}
-	n.Traffic.Record(class, bytes+n.cfg.HeaderBytes, unique)
+	n.ctrByteHops[class].Add(uint64(bytes+n.cfg.HeaderBytes) * uint64(unique))
 	n.ctrMulticasts.Inc()
 }
 
@@ -544,7 +567,7 @@ func (n *Network) routeCaptured(p *pendingSend, limit sim.Time) {
 	}
 	n.ctrSends.Inc()
 	hops := n.HopCount(int(p.src), int(p.dst))
-	n.Traffic.Record(p.class, int(p.bytes)+n.cfg.HeaderBytes, hops)
+	n.ctrByteHops[p.class].Add(uint64(int(p.bytes)+n.cfg.HeaderBytes) * uint64(hops))
 	arrive := n.deliveryTimeAt(p.at, int(p.src), int(p.dst), int(p.bytes))
 	if tr := n.tracer; tr.Enabled() {
 		tr.Emit(obs.Event{Time: uint64(p.at), Dur: uint64(arrive - p.at),

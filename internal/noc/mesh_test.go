@@ -7,14 +7,13 @@ import (
 
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 func testNet(w, h int) (*sim.Engine, *Network) {
 	e := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.Width, cfg.Height = w, h
-	return e, New(e, cfg)
+	return e, New(e, cfg, obs.NewRegistry())
 }
 
 func TestCoordRoundTrip(t *testing.T) {
@@ -80,7 +79,7 @@ func TestSendDeliversAndCharges(t *testing.T) {
 	e, n := testNet(8, 8)
 	delivered := false
 	var at sim.Time
-	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() {
+	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: TrafficData, OnDeliver: func() {
 		delivered = true
 		at = e.Now()
 	}})
@@ -92,7 +91,7 @@ func TestSendDeliversAndCharges(t *testing.T) {
 		t.Fatal("delivery at time 0 is impossible")
 	}
 	wantBH := uint64(64+n.Config().HeaderBytes) * 14
-	if got := n.Traffic.ByteHops(stats.TrafficData); got != wantBH {
+	if got := n.ctrByteHops[TrafficData].Get(); got != wantBH {
 		t.Fatalf("byte-hops = %d, want %d", got, wantBH)
 	}
 }
@@ -100,12 +99,12 @@ func TestSendDeliversAndCharges(t *testing.T) {
 func TestLocalDelivery(t *testing.T) {
 	e, n := testNet(4, 4)
 	var at sim.Time
-	n.Send(&Message{Src: 5, Dst: 5, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { at = e.Now() }})
+	n.Send(&Message{Src: 5, Dst: 5, Bytes: 64, Class: TrafficData, OnDeliver: func() { at = e.Now() }})
 	e.Run()
 	if at != n.Config().RouterLatency {
 		t.Fatalf("local delivery at %d, want router latency %d", at, n.Config().RouterLatency)
 	}
-	if n.Traffic.ByteHops(stats.TrafficData) != 0 {
+	if n.ctrByteHops[TrafficData].Get() != 0 {
 		t.Fatal("local messages must not be charged link traffic")
 	}
 }
@@ -115,8 +114,8 @@ func TestContentionSerializes(t *testing.T) {
 	// Two max-size messages over the same links: the second must arrive
 	// later than the first.
 	var first, second sim.Time
-	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { first = e.Now() }})
-	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { second = e.Now() }})
+	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: TrafficData, OnDeliver: func() { first = e.Now() }})
+	n.Send(&Message{Src: 0, Dst: 7, Bytes: 64, Class: TrafficData, OnDeliver: func() { second = e.Now() }})
 	e.Run()
 	if second <= first {
 		t.Fatalf("contention not modelled: first=%d second=%d", first, second)
@@ -142,7 +141,7 @@ func TestSameCycleSendsRouteInCanonicalOrder(t *testing.T) {
 				// src so the routing order changes who waits how long.
 				for k := 0; k < 2; k++ {
 					id := fmt.Sprintf("%d.%d", src, k)
-					n.Send(&Message{Src: src, Dst: 15, Bytes: 16 * (src + 1), Class: stats.TrafficData,
+					n.Send(&Message{Src: src, Dst: 15, Bytes: 16 * (src + 1), Class: TrafficData,
 						OnDeliver: func() { arrive[id] = e.Now() }})
 				}
 			}
@@ -168,9 +167,9 @@ func TestNoContentionModeMatchesLatency(t *testing.T) {
 	e := sim.NewEngine()
 	cfg := DefaultConfig()
 	cfg.ModelContention = false
-	n := New(e, cfg)
+	n := New(e, cfg, obs.NewRegistry())
 	var at sim.Time
-	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: stats.TrafficData, OnDeliver: func() { at = e.Now() }})
+	n.Send(&Message{Src: 0, Dst: 63, Bytes: 64, Class: TrafficData, OnDeliver: func() { at = e.Now() }})
 	e.Run()
 	if want := n.Latency(0, 63, 64); at != want {
 		t.Fatalf("uncontended arrival %d, want Latency() = %d", at, want)
@@ -183,23 +182,76 @@ func TestMulticastSharedLinksChargedOnce(t *testing.T) {
 	// second branch takes 1 extra Y hop → 8 unique links, not 15.
 	dsts := []int{n.NodeAt(7, 0), n.NodeAt(7, 1)}
 	count := 0
-	n.Multicast(0, dsts, 8, stats.TrafficControl, func(dst int) { count++ })
+	n.Multicast(0, dsts, 8, TrafficControl, func(dst int) { count++ })
 	e.Run()
 	if count != 2 {
 		t.Fatalf("multicast delivered %d times, want 2", count)
 	}
 	wantBH := uint64(8+n.Config().HeaderBytes) * 8
-	if got := n.Traffic.ByteHops(stats.TrafficControl); got != wantBH {
+	if got := n.ctrByteHops[TrafficControl].Get(); got != wantBH {
 		t.Fatalf("multicast byte-hops = %d, want %d (shared prefix charged once)", got, wantBH)
 	}
 }
 
 func TestMulticastEmpty(t *testing.T) {
 	e, n := testNet(4, 4)
-	n.Multicast(0, nil, 8, stats.TrafficControl, nil)
+	n.Multicast(0, nil, 8, TrafficControl, nil)
 	e.Run()
-	if n.Traffic.Total() != 0 {
-		t.Fatal("empty multicast should be free")
+	for c := range n.ctrByteHops {
+		if n.ctrByteHops[c].Get() != 0 {
+			t.Fatal("empty multicast should be free")
+		}
+	}
+}
+
+// TestTrafficAccounting checks that bytes×hops land in the registry under
+// noc.bytehops.<class>, each class separately, and that messages of one
+// class accumulate.
+func TestTrafficAccounting(t *testing.T) {
+	e := sim.NewEngine()
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 4, 4
+	n := New(e, cfg, reg)
+	hdr := cfg.HeaderBytes
+	n.Send(&Message{Src: 0, Dst: 3, Bytes: 64, Class: TrafficData})     // 3 hops
+	n.Send(&Message{Src: 0, Dst: 2, Bytes: 8, Class: TrafficData})      // 2 hops
+	n.Send(&Message{Src: 0, Dst: 15, Bytes: 16, Class: TrafficOffload}) // 6 hops
+	e.Run()
+	s := reg.Snapshot()
+	if got, want := s.Get("noc.bytehops.data"), uint64((64+hdr)*3+(8+hdr)*2); got != want {
+		t.Fatalf("data byte-hops = %d, want %d", got, want)
+	}
+	if got, want := s.Get("noc.bytehops.offloaded"), uint64((16+hdr)*6); got != want {
+		t.Fatalf("offload byte-hops = %d, want %d", got, want)
+	}
+	if got := s.Get("noc.bytehops.control"); got != 0 {
+		t.Fatalf("control byte-hops = %d, want 0", got)
+	}
+	if got := s.Get("noc.sends"); got != 3 {
+		t.Fatalf("sends = %d, want 3", got)
+	}
+}
+
+// TestTrafficSameClassAccumulates checks that messages of one class over
+// different paths add into the one noc.bytehops.<class> counter.
+func TestTrafficSameClassAccumulates(t *testing.T) {
+	e := sim.NewEngine()
+	reg := obs.NewRegistry()
+	cfg := DefaultConfig()
+	cfg.Width, cfg.Height = 4, 4
+	n := New(e, cfg, reg)
+	n.Send(&Message{Src: 0, Dst: 1, Bytes: 8, Class: TrafficControl}) // 1 hop
+	n.Send(&Message{Src: 0, Dst: 2, Bytes: 8, Class: TrafficControl}) // 2 hops
+	e.Run()
+	if got, want := reg.Get("noc.bytehops.control"), uint64((8+cfg.HeaderBytes)*3); got != want {
+		t.Fatalf("control byte-hops = %d, want %d", got, want)
+	}
+}
+
+func TestTrafficClassString(t *testing.T) {
+	if TrafficData.String() != "data" || TrafficControl.String() != "control" || TrafficOffload.String() != "offloaded" {
+		t.Fatal("traffic class names changed; Figure 12 legend and the noc.bytehops.* counter names depend on them")
 	}
 }
 
@@ -247,10 +299,10 @@ func TestTrafficByHopsProperty(t *testing.T) {
 			dst := int(p>>6) % 64
 			bytes := int(p%5)*16 + 8
 			want += uint64(bytes+n.Config().HeaderBytes) * uint64(n.HopCount(src, dst))
-			n.Send(&Message{Src: src, Dst: dst, Bytes: bytes, Class: stats.TrafficData})
+			n.Send(&Message{Src: src, Dst: dst, Bytes: bytes, Class: TrafficData})
 		}
 		e.Run()
-		return n.Traffic.ByteHops(stats.TrafficData) == want
+		return n.ctrByteHops[TrafficData].Get() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -263,7 +315,7 @@ func TestUtilizationBounded(t *testing.T) {
 		t.Fatal("idle network should report zero utilization")
 	}
 	for i := 0; i < 200; i++ {
-		n.Send(&Message{Src: i % 16, Dst: (i * 7) % 16, Bytes: 64, Class: stats.TrafficData})
+		n.Send(&Message{Src: i % 16, Dst: (i * 7) % 16, Bytes: 64, Class: TrafficData})
 	}
 	e.Run()
 	u := n.Utilization()
@@ -276,7 +328,7 @@ func TestUtilizationGrowsWithLoad(t *testing.T) {
 	run := func(msgs int) float64 {
 		e, n := testNet(4, 4)
 		for i := 0; i < msgs; i++ {
-			n.Send(&Message{Src: 0, Dst: 15, Bytes: 64, Class: stats.TrafficData})
+			n.Send(&Message{Src: 0, Dst: 15, Bytes: 64, Class: TrafficData})
 		}
 		e.Run()
 		return n.Utilization()
@@ -312,9 +364,9 @@ func TestMulticastAccountingMatchesReference(t *testing.T) {
 		}
 		bytes := 8
 		want := uint64(bytes+n.Config().HeaderBytes) * uint64(len(unique))
-		n.Multicast(src, dsts, bytes, stats.TrafficControl, nil)
+		n.Multicast(src, dsts, bytes, TrafficControl, nil)
 		e.Run()
-		return n.Traffic.ByteHops(stats.TrafficControl) == want
+		return n.ctrByteHops[TrafficControl].Get() == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)

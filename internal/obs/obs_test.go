@@ -22,10 +22,80 @@ func TestRegistryInternAndExport(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", r.Len())
 	}
-	out := map[string]uint64{}
-	r.ExportTo(func(n string, v uint64) { out[n] = v })
-	if len(out) != 1 || out["l1.hits"] != 5 {
-		t.Fatalf("export = %v, want only non-zero l1.hits=5", out)
+	if r.Get("missing") != 0 {
+		t.Fatal("a never-interned counter should read zero")
+	}
+	out := r.Snapshot()
+	if len(out) != 1 || out.Get("l1.hits") != 5 || out.Get("l1.misses") != 0 || out.Get("missing") != 0 {
+		t.Fatalf("snapshot = %v, want only non-zero l1.hits=5", out)
+	}
+	var empty Snapshot
+	if empty.Get("l1.hits") != 0 {
+		t.Fatal("the zero Snapshot should read zero")
+	}
+	// The snapshot owns its values: later increments and a Reset leave it
+	// unchanged.
+	a.Add(10)
+	r.Reset()
+	if out.Get("l1.hits") != 5 {
+		t.Fatalf("snapshot changed after the registry moved on: %v", out)
+	}
+}
+
+// TestRegistryNamedGetAndExport checks counters read back by name, that a
+// name never interned reads zero, and that the snapshot holds exactly the
+// touched counters.
+func TestRegistryNamedGetAndExport(t *testing.T) {
+	r := NewRegistry()
+	a, b := r.Counter("a"), r.Counter("b")
+	a.Inc()
+	a.Add(4)
+	b.Add(2)
+	if got := r.Get("a"); got != 5 {
+		t.Fatalf("a = %d, want 5", got)
+	}
+	if r.Get("missing") != 0 {
+		t.Fatal("missing counter should read zero")
+	}
+	out := r.Snapshot()
+	if len(out) != 2 || out.Get("a") != 5 || out.Get("b") != 2 {
+		t.Fatalf("snapshot = %v, want a=5 b=2", out)
+	}
+}
+
+// TestRegistrySharedNameAccumulates checks that two components interning
+// the same name add into one counter, while other names stay separate.
+func TestRegistrySharedNameAccumulates(t *testing.T) {
+	r := NewRegistry()
+	x1, x2, y := r.Counter("x"), r.Counter("x"), r.Counter("y")
+	x1.Add(1)
+	x2.Add(2)
+	y.Add(3)
+	if r.Get("x") != 3 || r.Get("y") != 3 {
+		t.Fatalf("shared counters wrong: x=%d y=%d", r.Get("x"), r.Get("y"))
+	}
+	if x1.Get() != 3 || x2.Get() != 3 {
+		t.Fatalf("handles disagree: x1=%d x2=%d", x1.Get(), x2.Get())
+	}
+	if r.Len() != 2 {
+		t.Fatalf("Len = %d, want 2", r.Len())
+	}
+}
+
+// TestZeroSnapshotReadsZero checks that the zero Snapshot, and the snapshot
+// of a registry with nothing counted, are empty and read zero.
+func TestZeroSnapshotReadsZero(t *testing.T) {
+	var s Snapshot
+	if s.Get("anything") != 0 || len(s) != 0 {
+		t.Fatalf("zero Snapshot = %v", s)
+	}
+	r := NewRegistry()
+	r.Counter("untouched")
+	if out := r.Snapshot(); len(out) != 0 || out.Get("untouched") != 0 {
+		t.Fatalf("snapshot of an idle registry = %v, want empty", out)
+	}
+	if r.Get("never") != 0 {
+		t.Fatal("a fresh registry should read zero")
 	}
 }
 

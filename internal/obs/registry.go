@@ -13,8 +13,9 @@ package obs
 // Registry interns counter names to dense integer ids at construction
 // time. A component creates its counters once (Counter returns a handle),
 // then every hot-path increment is a slice element add — the map is only
-// touched at interning and export time. stats.Set remains the export and
-// compatibility surface: ExportTo feeds the named values into it.
+// touched at interning and export time. A simulated machine has exactly
+// one Registry, shared by every component (components that intern the
+// same name share its counter); Snapshot is its export surface.
 //
 // A Registry is single-goroutine, like the simulation that owns it.
 type Registry struct {
@@ -61,16 +62,24 @@ func (r *Registry) Get(name string) uint64 {
 	return 0
 }
 
-// ExportTo feeds every non-zero counter to add. Zero counters are skipped
-// so the exported set matches map-based stats.Set semantics, where a
-// counter exists only once touched.
-func (r *Registry) ExportTo(add func(name string, v uint64)) {
+// Snapshot copies every non-zero counter into a frozen Snapshot.
+func (r *Registry) Snapshot() Snapshot {
+	s := make(Snapshot, len(r.vals))
 	for i, v := range r.vals {
 		if v != 0 {
-			add(r.names[i], v)
+			s[r.names[i]] = v
 		}
 	}
+	return s
 }
+
+// Snapshot is a frozen copy of a registry's non-zero counters, keyed by
+// name. It owns its data: later increments, a Reset, or a pooled
+// machine's next job leave a snapshot already handed out unchanged.
+type Snapshot map[string]uint64
+
+// Get returns a counter's value (0 if it was zero or never interned).
+func (s Snapshot) Get(name string) uint64 { return s[name] }
 
 // Histogram interns name (idempotently) and returns its observe handle.
 func (r *Registry) Histogram(name string) Histogram {

@@ -6,21 +6,25 @@ import (
 	"repro/internal/cache"
 	"repro/internal/mem"
 	"repro/internal/noc"
+	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
-func testTile() (*sim.Engine, *cache.Hierarchy, *cache.Tile) {
+// testTile builds a 2×2 hierarchy and returns its engine, counter
+// registry and tile 0.
+func testTile() (*sim.Engine, *obs.Registry, *cache.Tile) {
 	e := sim.NewEngine()
+	reg := obs.NewRegistry()
 	ncfg := noc.DefaultConfig()
 	ncfg.Width, ncfg.Height = 2, 2
-	net := noc.New(e, ncfg)
-	dram := mem.New(e, mem.DefaultConfig())
-	h := cache.New(e, net, dram, cache.DefaultConfig())
-	return e, h, h.Tile(0)
+	net := noc.New(e, ncfg, reg)
+	dram := mem.New(e, mem.DefaultConfig(), reg)
+	h := cache.New(e, net, dram, cache.DefaultConfig(), reg)
+	return e, reg, h.Tile(0)
 }
 
 func TestStrideDetectsAndPrefetches(t *testing.T) {
-	e, h, tile := testTile()
+	e, reg, tile := testTile()
 	s := NewStride(tile, DefaultStrideConfig())
 	const pc = 0x400
 	for i := uint64(0); i < 8; i++ {
@@ -30,7 +34,7 @@ func TestStrideDetectsAndPrefetches(t *testing.T) {
 	if s.Fired == 0 {
 		t.Fatal("stride prefetcher never fired on a perfect stride")
 	}
-	if h.Stats().Get("prefetch.issued") == 0 {
+	if reg.Get("prefetch.issued") == 0 {
 		t.Fatal("no prefetches reached the hierarchy")
 	}
 	e.Run()
@@ -152,25 +156,25 @@ func TestBingoEvictionDeterministic(t *testing.T) {
 }
 
 func TestUnitFeedsBoth(t *testing.T) {
-	e, h, tile := testTile()
+	e, reg, tile := testTile()
 	u := NewUnit(tile)
 	for i := uint64(0); i < 16; i++ {
 		u.Observe(i*64, 0x100)
 		e.Run()
 	}
-	if h.Stats().Get("prefetch.issued") == 0 {
+	if reg.Get("prefetch.issued") == 0 {
 		t.Fatal("unit issued no prefetches")
 	}
 }
 
 func TestPrefetchIsNoOpWhenResident(t *testing.T) {
-	e, h, tile := testTile()
+	e, reg, tile := testTile()
 	tile.Access(0x1000, false, 0, nil)
 	e.Run()
-	before := h.Stats().Get("prefetch.issued")
+	before := reg.Get("prefetch.issued")
 	tile.Prefetch(0x1000)
 	e.Run()
-	if h.Stats().Get("prefetch.issued") != before {
+	if reg.Get("prefetch.issued") != before {
 		t.Fatal("prefetch of resident line issued a request")
 	}
 }

@@ -10,9 +10,9 @@ import (
 )
 
 // execEnv carries a pool's reuse facilities into one job execution. A
-// nil env (the public Execute/ExecuteObs entry points)
-// means fresh-build semantics: new machine, GC-backed arrays, generated
-// dataset. Reuse is observationally equivalent — the machine Reset
+// nil env (a pool with SetReuse(false), or a test calling executeJob
+// directly) means fresh-build semantics: new machine, GC-backed arrays,
+// generated dataset. Reuse is observationally equivalent — the machine Reset
 // contract and the dataset cache both reproduce a fresh build bit for
 // bit — so results are identical either way.
 type execEnv struct {

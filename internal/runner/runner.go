@@ -115,23 +115,14 @@ func (r *Result) TotalTraffic() uint64 {
 	return r.TrafficData + r.TrafficControl + r.TrafficOffload
 }
 
-// Execute simulates one job: the kernel runs Iters times on one machine
+// executeJob simulates one job, the only execution path (the pool's
+// execute wrapper calls it): the kernel runs Iters times on one machine
 // (so iterations past the first observe a warm LLC, as in the paper's
-// simulate-to-completion runs). Every Execute call builds a private
-// machine and data image, so concurrent calls are independent.
-func Execute(j Job) (*Result, error) { return ExecuteObs(j, nil) }
-
-// ExecuteObs is Execute with an optional observability record: when rec is
-// non-nil its tracer and sampler (either may be nil) attach to the job's
-// machine, and the record's deterministic report fields are filled in.
-// Tracing and sampling observe the run without perturbing it, so the
-// Result is identical either way.
-func ExecuteObs(j Job, rec *obs.JobRecord) (*Result, error) {
-	return executeJob(j, rec, nil)
-}
-
-// executeJob is the execution core behind the public entry points and the
-// pool. env (may be nil) supplies the pool's reuse facilities: a pooled
+// simulate-to-completion runs). When rec is non-nil its tracer, sampler
+// and attribution sink (any may be nil) attach to the job's machine and
+// the record's deterministic report fields are filled in; observation
+// does not perturb the run, so the Result is identical either way.
+// env (may be nil) supplies the pool's reuse facilities: a pooled
 // machine is checked out, Reset and returned instead of built and thrown
 // away; array storage comes from a recycled arena; and the generated
 // dataset is copied from the in-process cache when a previous job with
